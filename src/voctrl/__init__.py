@@ -22,7 +22,6 @@ from .control import (
     ControlProblem,
     ValueFunctionReport,
     choose_M,
-    evaluate_control,
     lift_for_problem,
     monomial_closed_form,
     optimal_control_poly,
@@ -109,7 +108,6 @@ __all__ = [
     "deterministic_mean",
     "evaluate_J_deterministic",
     "evaluate_J_mc",
-    "evaluate_control",
     "gamma_table",
     "gaussian_increments",
     "holder_margin",

@@ -160,11 +160,6 @@ def optimal_control_poly(problem: ControlProblem, n: int, M: int) -> ControlPoly
     )
 
 
-def evaluate_control(cp: ControlPolynomial, t: float) -> float:
-    """Horner evaluation of the control polynomial in the variable (T - t)."""
-    return cp(t)
-
-
 def truncation_error_bound(lk: LiftedKernel, T: float, t: float, M: int) -> float:
     """Tail bound |u_n(t) - u_{n,M}(t)| / scale for M >= (T-t) * norm bound.
 

@@ -56,14 +56,13 @@ def evaluate_J_mc(
     n_paths: int,
     seed: int,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> ObjectiveReport:
     """Monte-Carlo J estimate with the standard error of the terminal mean."""
     if n_paths < 2:
         raise NumericRangeError(f"n_paths must be >= 2, got {n_paths}")
     u = _control_values(control, grid.nodes)
     w = _trapezoid_weights(grid.n_steps, grid.dt)
-    batch = simulate_paths(problem, control, grid, n_paths, seed, workers=workers, backend=backend)
+    batch = simulate_paths(problem, control, grid, n_paths, seed, workers=workers)
     xT = batch.paths[:, -1]
     j = -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * float(xT.mean())
     se = problem.a2 * float(xT.std(ddof=1)) / np.sqrt(n_paths)

@@ -163,6 +163,13 @@ def test_worker_env_does_not_change_artifacts(tmp_path, monkeypatch):
     assert (out / "paths_controlled.csv").read_bytes() == baseline
 
 
+def test_non_integer_worker_env_is_config_error(tmp_path, monkeypatch, capsys):
+    cfg, _ = write_config(tmp_path, n_paths=2, dt=0.1)
+    monkeypatch.setenv("VOC_THREADS", "abc")
+    assert main(["--config", str(cfg), "simulate"]) == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
 def test_convergence_single_degree(tmp_path):
     cfg, out = write_config(tmp_path, dt=0.05)
     assert main(["--config", str(cfg), "convergence", "--n-list", "5"]) == 0

@@ -3,6 +3,7 @@ import pytest
 
 from voctrl import (
     DomainError,
+    FractionalKernel,
     MonomialKernel,
     SimulationError,
     TimeGrid,
@@ -11,11 +12,9 @@ from voctrl import (
     optimal_control_poly,
     simulate_paths,
 )
-from voctrl.simulate import _pathsim
+from voctrl.simulate import _control_values, _kernel_table
 
 from .conftest import make_problem
-
-BACKENDS = ["numpy"] + (["cython"] if _pathsim is not None else [])
 
 
 def zero(t):
@@ -88,45 +87,78 @@ def test_increment_moments():
     assert dw.var() == pytest.approx(0.05, rel=0.02)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_reruns_are_bit_identical(backend, fractional_kernel):
+def reference_paths(problem, control, grid, n_paths, seed):
+    """The left-endpoint recursion step by step, path-major, one GEMV per step."""
+    n_steps, dt = grid.n_steps, grid.dt
+    ktab = _kernel_table(problem, grid)
+    ctl = _control_values(control, grid.nodes[:-1])
+    dw = gaussian_increments(seed, n_paths, n_steps, dt)
+    alpha, beta, sigma, x0 = problem.alpha, problem.beta, problem.sigma, problem.x0
+    out = np.full((n_paths, n_steps + 1), x0)
+    g = np.empty_like(dw)
+    for j in range(n_steps):
+        g[:, j] = (alpha * ctl[j] - beta * out[:, j]) * dt + sigma * dw[:, j]
+        out[:, j + 1] = x0 + g[:, : j + 1] @ ktab[j + 1 : 0 : -1]
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("kernel", [MonomialKernel(T=2.0, degree=0), FractionalKernel(T=2.0, exponent=0.3)],
+                         ids=["K0=1", "K0=0"])
+def test_kernel_matches_reference_recursion(kernel, beta):
+    # 100 steps: three levels of splitting before the 12- and 13-step leaves;
+    # 4100 paths: two path blocks
+    problem = make_problem(kernel, beta=beta, x0=0.3)
+    grid = TimeGrid(T=2.0, dt=0.02)
+    control = lambda t: 1.0 + t
+    paths = simulate_paths(problem, control, grid, 4100, seed=77).paths
+    ref = reference_paths(problem, control, grid, 4100, seed=77)
+    assert np.abs(paths - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_reruns_are_bit_identical(fractional_kernel):
     problem = make_problem(fractional_kernel)
     cp = optimal_control_poly(problem, 10, 30)
     grid = TimeGrid(T=2.0, dt=0.05)
-    a = simulate_paths(problem, cp, grid, 50, seed=11, backend=backend)
-    b = simulate_paths(problem, cp, grid, 50, seed=11, backend=backend)
+    a = simulate_paths(problem, cp, grid, 50, seed=11)
+    b = simulate_paths(problem, cp, grid, 50, seed=11)
     assert np.array_equal(a.paths, b.paths)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("workers", [2, 3, 5])
-def test_worker_count_does_not_change_results(backend, workers, fractional_kernel):
+def test_worker_count_does_not_change_results(workers, fractional_kernel):
+    # 9000 paths make three path blocks, so every worker count fans out
     problem = make_problem(fractional_kernel)
     cp = optimal_control_poly(problem, 10, 30)
     grid = TimeGrid(T=2.0, dt=0.05)
-    serial = simulate_paths(problem, cp, grid, 101, seed=3, backend=backend, workers=1)
-    fanned = simulate_paths(problem, cp, grid, 101, seed=3, backend=backend, workers=workers)
+    serial = simulate_paths(problem, cp, grid, 9000, seed=3, workers=1)
+    fanned = simulate_paths(problem, cp, grid, 9000, seed=3, workers=workers)
     assert np.array_equal(serial.paths, fanned.paths)
+
+
+@pytest.fixture(scope="module", params=[0.0, 1.0], ids=["beta=0", "beta=1"])
+def long_run(request):
+    problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), beta=request.param)
+    cp = optimal_control_poly(problem, 10, 30)
+    grid = TimeGrid(T=2.0, dt=0.05)
+    return problem, cp, grid, simulate_paths(problem, cp, grid, 8200, seed=13).paths
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_paths", [1, 17, 64, 65, 4097])
+def test_paths_do_not_depend_on_path_count(n_paths, workers, long_run):
+    problem, cp, grid, long = long_run
+    short = simulate_paths(problem, cp, grid, n_paths, seed=13, workers=workers).paths
+    assert np.array_equal(short, long[:n_paths])
 
 
 def test_voc_threads_env_bounds_workers(monkeypatch, fractional_kernel):
     problem = make_problem(fractional_kernel)
     grid = TimeGrid(T=2.0, dt=0.1)
-    baseline = simulate_paths(problem, zero, grid, 40, seed=9)
+    baseline = simulate_paths(problem, zero, grid, 4097, seed=9)
     monkeypatch.setenv("VOC_THREADS", "4")
-    fanned = simulate_paths(problem, zero, grid, 40, seed=9)
+    fanned = simulate_paths(problem, zero, grid, 4097, seed=9)
     assert np.array_equal(baseline.paths, fanned.paths)
-
-
-@pytest.mark.skipif(_pathsim is None, reason="compiled backend not built")
-def test_backends_agree_to_rounding(fractional_kernel):
-    problem = make_problem(fractional_kernel)
-    cp = optimal_control_poly(problem, 10, 30)
-    grid = TimeGrid(T=2.0, dt=0.02)
-    a = simulate_paths(problem, cp, grid, 200, seed=77, backend="cython")
-    b = simulate_paths(problem, cp, grid, 200, seed=77, backend="numpy")
-    scale = np.abs(a.paths).max()
-    assert np.abs(a.paths - b.paths).max() <= 1e-11 * max(1.0, scale)
 
 
 def test_zero_noise_paths_track_deterministic_mean(gamma_kernel):
