@@ -112,12 +112,13 @@ def gamma_table(lk: LiftedKernel, M: int) -> GammaTable:
     n = lk.n
     G = np.zeros((M + 1, M + 1))
     G[0, 0] = 1.0
-    for k in range(1, M + 1):
-        G[1 : k + 1, k] = G[0:k, k - 1]
-        jmax = min(n, k - 1)
-        G[0, k] = -lk.beta * float(np.dot(lk.g[: jmax + 1], G[: jmax + 1, k - 1]))
-        if not math.isfinite(G[0, k]):
-            raise NumericRangeError("gamma overflow; reduce M or n")
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
+        for k in range(1, M + 1):
+            G[1 : k + 1, k] = G[0:k, k - 1]
+            jmax = min(n, k - 1)
+            G[0, k] = -lk.beta * float(np.dot(lk.g[: jmax + 1], G[: jmax + 1, k - 1]))
+            if not math.isfinite(G[0, k]):
+                raise NumericRangeError("gamma overflow; reduce M or n")
     return GammaTable(gamma=G, M=M)
 
 

@@ -4,25 +4,22 @@ J(u) = E[-a1 int_0^T u(s)**2 ds + a2 X(T)] is evaluated two ways:
 deterministically through the mean equation (the noise is centered, so sigma
 drops out) and by Monte-Carlo over simulated paths.
 
-``lq_oracle`` maximizes the fully discretized functional directly: the mean
-is affine in the control through the triangular quadrature operator, the
-cost is a positive diagonal quadratic, so the stationarity system is
-diagonal after two triangular solves.  It shares the trapezoidal weights
-with ``deterministic_mean`` on purpose, so comparisons against the lifted
-closed form isolate method error from quadrature error.
+``lq_oracle`` maximizes the fully discretized functional directly.  The mean
+is affine in the control through the trapezoidal quadrature operator and the
+cost is a positive diagonal quadratic, so the maximizer is the discrete
+beta-resolvent of K read backwards from T, which the mean equation's own
+Volterra sweep delivers in O(n_steps) memory.  Sharing the trapezoidal
+weights with ``deterministic_mean`` is deliberate: comparisons against the
+lifted closed form isolate method error from quadrature error.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .control import ControlProblem
 from .errors import NumericRangeError
-from .simulate import TimeGrid, _control_values, _kernel_table, deterministic_mean, simulate_paths
-
-#: dense linear-algebra bound for the oracle.
-ORACLE_MAX_STEPS = 2000
+from .simulate import TimeGrid, _control_values, _kernel_table, _volterra_solve, simulate_paths
 
 
 @dataclass(frozen=True)
@@ -42,9 +39,10 @@ def _trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
 
 def evaluate_J_deterministic(problem: ControlProblem, control, grid: TimeGrid) -> ObjectiveReport:
     """J for a deterministic control: -a1 * trapz(u**2) + a2 * m(T)."""
+    ktab = _kernel_table(problem, grid)
     u = _control_values(control, grid.nodes)
     w = _trapezoid_weights(grid.n_steps, grid.dt)
-    m = deterministic_mean(problem, control, grid)
+    m = _volterra_solve(ktab, grid.dt, problem.beta, problem.x0, problem.alpha * u)
     j = -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * m[-1]
     return ObjectiveReport(j_estimate=j, std_error=0.0, method="deterministic")
 
@@ -76,46 +74,30 @@ class OracleSolution:
     j_opt: float
 
 
-def _quadrature_operator(ktab: np.ndarray, dt: float) -> np.ndarray:
-    """Lower-triangular trapezoidal product-quadrature operator A.
-
-    Row i discretizes int_0^{t_i} K(t_i - s) f(s) ds with the same weights
-    the mean solver uses; row 0 is empty.
-    """
-    n = len(ktab) - 1
-    A = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        A[i, 1:i] = dt * ktab[i - 1 : 0 : -1]
-        A[i, 0] = 0.5 * dt * ktab[i]
-        A[i, i] = 0.5 * dt * ktab[0]
-    return A
-
-
 def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
-    """Brute-force maximizer of the discretized objective.
+    """Exact maximizer of the discretized objective.
 
-    With m = (I + beta A)^{-1} (x0 + alpha A u) affine in u and the cost
-    -a1 sum_i w_i u_i**2 strictly concave, stationarity gives
+    With A the trapezoidal quadrature operator of ``deterministic_mean``,
+    m = (I + beta A)^{-1} (x0 + alpha A u) is affine in u and the cost
+    -a1 sum_i w_i u_i**2 is strictly concave, so stationarity gives
 
-        u*_i = alpha a2 b_i / (2 a1 w_i),   b = A^T (I + beta A)^{-T} e_N,
+        u*_i = alpha a2 b_i / (2 a1 w_i),   b = last row of (I + beta A)^{-1} A.
 
-    solved with two dense triangular solves.
+    Column j of (I + beta A)^{-1} A solves the mean equation with x0 = 0 and
+    forcing e_j.  Columns j >= 1 of A are shifts of column 1, so one sweep
+    with the forcings e_0, e_1 and (x0 = 1) zero gives b_0, b_j = r_{N-j+1}
+    for j >= 1, and y = (I + beta A)^{-1} 1, with m_N = x0 y_N + alpha b . u*.
+    Memory is O(n_steps), so the grid has no step cap.
     """
     n_steps = grid.n_steps
-    if n_steps > ORACLE_MAX_STEPS:
-        raise NumericRangeError(
-            f"oracle grid too fine: {n_steps} steps exceeds dense bound {ORACLE_MAX_STEPS}"
-        )
     dt = grid.dt
     ktab = _kernel_table(problem, grid)
-    A = _quadrature_operator(ktab, dt)
+    v = np.zeros((n_steps + 1, 3))
+    v[0, 0] = v[1, 1] = 1.0
+    sweep = _volterra_solve(ktab, dt, problem.beta, np.array([0.0, 0.0, 1.0]), v)
+    b = np.concatenate((sweep[-1:, 0], sweep[:0:-1, 1]))
     w = _trapezoid_weights(n_steps, dt)
-    S = np.eye(n_steps + 1) + problem.beta * A
-    e_last = np.zeros(n_steps + 1)
-    e_last[-1] = 1.0
-    y = solve_triangular(S.T, e_last, lower=False)
-    b = A.T @ y
     u_star = problem.alpha * problem.a2 * b / (2.0 * problem.a1 * w)
-    m = solve_triangular(S, problem.x0 + problem.alpha * (A @ u_star), lower=True)
-    j_opt = -problem.a1 * float(np.dot(w, u_star**2)) + problem.a2 * float(m[-1])
+    m_T = problem.x0 * sweep[-1, 2] + problem.alpha * float(np.dot(b, u_star))
+    j_opt = -problem.a1 * float(np.dot(w, u_star**2)) + problem.a2 * m_T
     return OracleSolution(grid=grid, u_values=u_star, j_opt=j_opt)

@@ -26,8 +26,10 @@ Philox paths, dropped afterwards, and workers take fixed ``_BLOCK_PATHS``
 column blocks: every real path sees the same BLAS tiling, so its values are
 bit-identical whatever the worker count or ``n_paths``.
 
-The deterministic mean solves the associated linear Volterra equation of the
-second kind with the trapezoidal product rule, one scalar division per step.
+The deterministic mean, and the LQ oracle in ``objective``, solve linear
+Volterra equations of the second kind with one trapezoidal product-quadrature
+sweep, ``_volterra_solve``: O(n_steps) memory, one division by the K(0)
+pivot per step, several right-hand sides swept together.
 """
 
 import math
@@ -127,11 +129,40 @@ def _control_values(control, nodes) -> np.ndarray:
 
 
 def _kernel_table(problem: ControlProblem, grid: TimeGrid) -> np.ndarray:
+    if abs(grid.T - problem.T) > 1e-12:
+        raise DomainError("grid horizon does not match the problem horizon")
     # tabulate once; the inner loops only ever need K on the grid offsets
     ktab = np.array([problem.kernel(j * grid.dt) for j in range(grid.n_steps + 1)])
     if not np.all(np.isfinite(ktab)):
         raise SimulationError("kernel produced non-finite values on the grid")
     return ktab
+
+
+def _volterra_solve(ktab: np.ndarray, dt: float, beta: float, x0, v: np.ndarray) -> np.ndarray:
+    """Solve m = x0 + A (v - beta m) on the grid, every column of ``v`` at once.
+
+    A is the trapezoidal product-quadrature operator: row i integrates
+    K(t_i - s) f(s) over [0, t_i] with half weights on t_0 and t_i, and row 0
+    is empty.  Sweeping i upward, m_i enters row i only through the diagonal
+    K(0) dt / 2, so each step divides by the pivot 1 + beta K(0) dt / 2.
+    ``v`` has shape (n_steps + 1,) or (n_steps + 1, k); ``x0`` is a scalar or
+    one value per column.
+    """
+    n = len(ktab) - 1
+    pivot = 1.0 + beta * ktab[0] * dt / 2.0
+    if pivot == 0.0:
+        raise NumericRangeError("singular step in the Volterra sweep")
+    wk = dt * ktab[:0:-1]  # wk[n - l] = dt K(l dt), l = 1..n
+    m = np.empty(v.shape)
+    f = np.empty(v.shape)  # f = v - beta m, final up to the current step
+    m[0] = x0
+    f[0] = v[0] - beta * m[0]
+    # everything but the interior history: x0, the t_0 and the t_i half weights
+    known = x0 + np.multiply.outer(0.5 * dt * ktab, f[0]) + 0.5 * dt * ktab[0] * v
+    for i in range(1, n + 1):
+        m[i] = (known[i] + wk[n - i + 1 :] @ f[1:i]) / pivot
+        f[i] = v[i] - beta * m[i]
+    return m
 
 
 def _toeplitz(rk: np.ndarray, lag: int, rows: int, cols: int) -> np.ndarray:
@@ -191,8 +222,6 @@ def simulate_paths(
     ``paths`` of the returned batch is a transposed view of the time-major
     (steps x paths) storage.
     """
-    if abs(grid.T - problem.T) > 1e-12:
-        raise DomainError("grid horizon does not match the problem horizon")
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     workers = _resolve_workers(workers)
@@ -224,29 +253,7 @@ def simulate_paths(
 
 
 def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:
-    """Mean goodwill on the grid via trapezoidal product quadrature.
-
-    Sweeping i upward, the i-th equation involves m_i only through the
-    half-weight K(0) dt / 2 term, so each step is one scalar linear solve:
-
-        (1 + beta K(0) dt / 2) m_i = x0 + known history terms.
-    """
-    if abs(grid.T - problem.T) > 1e-12:
-        raise DomainError("grid horizon does not match the problem horizon")
-    n_steps = grid.n_steps
-    dt = grid.dt
+    """Mean goodwill on the grid via trapezoidal product quadrature."""
     ktab = _kernel_table(problem, grid)
     u = _control_values(control, grid.nodes)
-    alpha, beta, x0 = problem.alpha, problem.beta, problem.x0
-    pivot = 1.0 + beta * ktab[0] * dt / 2.0
-    if pivot == 0.0:
-        raise NumericRangeError("singular step in the mean equation")
-    m = np.empty(n_steps + 1)
-    m[0] = x0
-    for i in range(1, n_steps + 1):
-        acc = 0.5 * dt * ktab[i] * (alpha * u[0] - beta * m[0])
-        if i > 1:
-            acc += dt * float(np.dot(ktab[i - 1 : 0 : -1], alpha * u[1:i] - beta * m[1:i]))
-        acc += 0.5 * dt * ktab[0] * alpha * u[i]
-        m[i] = (x0 + acc) / pivot
-    return m
+    return _volterra_solve(ktab, grid.dt, problem.beta, problem.x0, problem.alpha * u)

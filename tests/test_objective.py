@@ -1,16 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from voctrl import (
+    FractionalKernel,
     MonomialKernel,
     NumericRangeError,
     TimeGrid,
+    bernstein_kernel,
+    deterministic_mean,
     evaluate_J_deterministic,
     evaluate_J_mc,
     lq_oracle,
     monomial_closed_form,
     optimal_control_poly,
 )
+from voctrl.objective import _trapezoid_weights
+from voctrl.simulate import _kernel_table
 
 from .conftest import make_problem
 
@@ -99,27 +107,70 @@ def test_oracle_matches_monomial_closed_form():
     assert np.abs(oracle.u_values - closed).max() <= 1e-2
 
 
-def _grid_objective(problem, grid, u):
-    from voctrl.objective import _quadrature_operator, _trapezoid_weights
-    from voctrl.simulate import _kernel_table
-    from scipy.linalg import solve_triangular
+def _quadrature_operator(ktab, dt):
+    """Dense lower-triangular trapezoidal product-quadrature operator A.
 
-    ktab = _kernel_table(problem, grid)
-    A = _quadrature_operator(ktab, grid.dt)
-    w = _trapezoid_weights(grid.n_steps, grid.dt)
+    Row i discretizes int_0^{t_i} K(t_i - s) f(s) ds with the weights of the
+    mean equation's sweep; row 0 is empty.
+    """
+    n = len(ktab) - 1
+    A = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        A[i, 1:i] = dt * ktab[i - 1 : 0 : -1]
+        A[i, 0] = 0.5 * dt * ktab[i]
+        A[i, i] = 0.5 * dt * ktab[0]
+    return A
+
+
+def _dense_mean(problem, grid, u):
+    A = _quadrature_operator(_kernel_table(problem, grid), grid.dt)
     S = np.eye(grid.n_steps + 1) + problem.beta * A
-    m = solve_triangular(S, problem.x0 + problem.alpha * (A @ u), lower=True)
+    return solve_triangular(S, problem.x0 + problem.alpha * (A @ u), lower=True)
+
+
+def _grid_objective(problem, grid, u):
+    w = _trapezoid_weights(grid.n_steps, grid.dt)
+    m = _dense_mean(problem, grid, u)
     return -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * float(m[-1])
+
+
+def _dense_oracle_control(problem, grid):
+    # u* = alpha a2 b / (2 a1 w) with b = A^T (I + beta A)^{-T} e_N
+    A = _quadrature_operator(_kernel_table(problem, grid), grid.dt)
+    S = np.eye(grid.n_steps + 1) + problem.beta * A
+    e_last = np.zeros(grid.n_steps + 1)
+    e_last[-1] = 1.0
+    b = A.T @ solve_triangular(S.T, e_last, lower=False)
+    w = _trapezoid_weights(grid.n_steps, grid.dt)
+    return problem.alpha * problem.a2 * b / (2.0 * problem.a1 * w)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("dt", [0.05, 0.001])
+@pytest.mark.parametrize("kernel_name", ["t^0", "t^0.3 lifted"])
+def test_sweep_matches_dense_reference(kernel_name, dt, beta):
+    # K(0) != 0 puts weight on the implicit diagonal; K(0) == 0 does not
+    if kernel_name == "t^0":
+        kernel = MonomialKernel(T=2.0, degree=0)
+    else:
+        kernel = bernstein_kernel(FractionalKernel(T=2.0, exponent=0.3), 10)
+    problem = make_problem(kernel, alpha=1.3, beta=beta, a1=0.7, a2=1.1, x0=0.4)
+    grid = TimeGrid(T=2.0, dt=dt)
+    oracle = lq_oracle(problem, grid)
+    u_ref = _dense_oracle_control(problem, grid)
+    j_ref = _grid_objective(problem, grid, u_ref)
+    assert np.abs(oracle.u_values - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+    assert abs(oracle.j_opt - j_ref) <= 1e-12 * abs(j_ref)
+    u = np.cos(3.0 * grid.nodes)
+    m = deterministic_mean(problem, lambda t: np.cos(3.0 * t), grid)
+    m_ref = _dense_mean(problem, grid, u)
+    assert np.abs(m - m_ref).max() <= 1e-12 * np.abs(m_ref).max()
 
 
 def test_oracle_optimality_sandwich(fractional_kernel, gamma_kernel):
     # the sandwich compares like for like: the oracle, the lifted control and
     # the perturbation all score against the polynomial-kernel program the
     # lift actually solves
-    import dataclasses
-
-    from voctrl import bernstein_kernel
-
     rng = np.random.default_rng(17)
     grid = TimeGrid(T=2.0, dt=0.01)
     for kernel in (fractional_kernel, gamma_kernel):
@@ -152,14 +203,25 @@ def test_oracle_improves_on_zero_control(fractional_kernel):
 
 def test_oracle_cost_weights_positive(fractional_kernel):
     # strict concavity: the stationarity system is the positive diagonal 2 a1 w
-    from voctrl.objective import _trapezoid_weights
-
     w = _trapezoid_weights(40, 0.05)
     assert np.all(w > 0.0)
     assert w.sum() == pytest.approx(2.0, rel=1e-14)
 
 
-def test_oracle_dense_grid_cap(fractional_kernel):
-    problem = make_problem(fractional_kernel)
-    with pytest.raises(NumericRangeError):
-        lq_oracle(problem, TimeGrid(T=2.0, dt=0.0005))
+def _closed_form_error(problem, dt):
+    grid = TimeGrid(T=problem.T, dt=dt)
+    closed = np.array([monomial_closed_form(problem, t) for t in grid.nodes])
+    return np.abs(lq_oracle(problem, grid).u_values - closed).max()
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_oracle_is_discrete_resolvent_of_mittag_leffler_form(degree, beta):
+    # the closed form is the beta-resolvent of t^N read backwards from T; the
+    # oracle is its trapezoidal discretization, second order or better for
+    # N >= 1 (t^0 converges at first order at the endpoint nodes)
+    problem = make_problem(MonomialKernel(T=2.0, degree=degree), beta=beta)
+    assert _closed_form_error(problem, 0.02) >= 3.5 * _closed_form_error(problem, 0.01)
+    if degree == 1:
+        # 4000 steps: no step cap, and the error keeps falling
+        assert _closed_form_error(problem, 0.0005) < _closed_form_error(problem, 0.001)
