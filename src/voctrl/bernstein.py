@@ -80,15 +80,21 @@ class BernsteinKernel:
     def __call__(self, t):
         """Evaluate K_n(t) in the Bernstein basis (de Casteljau recursion).
 
-        Numerically stable for any n <= N_CAP; accepts scalars or arrays.
+        Numerically stable for any n <= N_CAP; accepts a scalar (returns a
+        float) or a 1-d array (returns an array).  Each level is updated in
+        place through one preallocated buffer, so no temporaries are allocated
+        per level.
         """
-        scalar = np.isscalar(t)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        x = np.array([_check_time(v, self.T) for v in ts]) / self.T
+        ts = _check_time(t, self.T)
+        x = np.atleast_1d(ts) / self.T
+        y = 1.0 - x
         b = np.repeat(self.node_values[:, None], len(x), axis=1)
-        for r in range(self.n):
-            b[: self.n - r] = (1.0 - x) * b[: self.n - r] + x * b[1 : self.n - r + 1]
-        return float(b[0, 0]) if scalar else b[0].copy()
+        tmp = np.empty((self.n, len(x)))
+        for m in range(self.n, 0, -1):
+            np.multiply(x, b[1 : m + 1], out=tmp[:m])
+            b[:m] *= y
+            b[:m] += tmp[:m]
+        return float(b[0, 0]) if np.ndim(ts) == 0 else b[0].copy()
 
     def monomial_value(self, t: float) -> float:
         """Evaluate sum_k kappa[k] t**k by Horner (cancellation sentinel)."""
@@ -117,7 +123,7 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
     if n == 0:
         vals = np.array([source(0.0)])
         return BernsteinKernel(n=0, kappa=vals.copy(), source=source, node_values=vals)
-    vals = np.array([source(T * k / n) for k in range(n + 1)])
+    vals = source(T * np.arange(n + 1) / n)
     diffs = _forward_differences(vals)
     kappa = np.array([math.comb(n, k) * diffs[k] / T**k for k in range(n + 1)])
     if not np.all(np.isfinite(kappa)):
@@ -143,7 +149,7 @@ def uniform_error_report(source: Kernel, n: int, grid_points: int = 400) -> Appr
     bk = bernstein_kernel(source, n)
     ts = np.linspace(0.0, source.T, grid_points)
     approx = bk(ts)
-    exact = np.array([source(t) for t in ts])
+    exact = source(ts)
     sup_error = float(np.abs(exact - approx).max())
     h, H = source.holder_metadata()
     bound = math.inf if n == 0 else H * source.T**h * 2.0**-h * n ** (-h / 2.0)

@@ -82,7 +82,7 @@ def cmd_kernel_approx(cfg: RunConfig, grid_points: int = 400) -> list[Path]:
     bk = bernstein_kernel(kernel, cfg.n)
     ts = np.linspace(0.0, kernel.T, grid_points)
     approx = bk(ts)
-    exact = np.array([kernel(t) for t in ts])
+    exact = kernel(ts)
     out = _out_dir(cfg)
     csv_path = out / "kernel_approx.csv"
     _write_csv(csv_path, ["t", "K", "K_n", "abs_error"],
@@ -169,7 +169,8 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
         # a proxy only, since the true supremum is unknown for rough kernels
         rate_proxy = gap * n ** (h / 2.0) if n > 0 else float("nan")
         if isinstance(problem.kernel, MonomialKernel):
-            sup_dist = max(abs(cp(t) - monomial_closed_form(problem, t)) for t in ts)
+            exact = np.array([monomial_closed_form(problem, t) for t in ts])
+            sup_dist = float(np.abs(cp(ts) - exact).max())
         else:
             sup_dist = float("nan")
         rows.append((n, j_hat, oracle.j_opt, gap, rate_proxy, sup_dist))
@@ -306,3 +307,7 @@ def main(argv=None) -> int:
 
 def entrypoint():  # console_scripts hook
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

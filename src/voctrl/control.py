@@ -109,14 +109,14 @@ class ControlPolynomial:
     bound_valid: bool
 
     def __call__(self, t):
-        scalar = np.isscalar(t)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        x = self.T - np.array([_check_time(v, self.T) for v in ts])
+        """u(t) for a time (returns a float) or an array of times (returns an array)."""
+        ts = _check_time(t, self.T)
+        x = self.T - np.atleast_1d(ts)
         acc = np.zeros_like(x)
         for c in self.coeffs[::-1]:
             acc = acc * x + c
         out = self.scale * acc
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(ts) == 0 else out
 
 
 def lift_for_problem(problem: ControlProblem, n: int) -> LiftedKernel:

@@ -24,12 +24,20 @@ from .errors import DomainError, MetadataError
 DOMAIN_TOL = 1e-9
 
 
-def _check_time(t: float, T: float) -> float:
-    """Validate t in [0, T] (with ulp slack) and clamp it into the interval."""
+def _check_time(t, T: float):
+    """Validate times in [0, T] (with ulp slack) and clamp them into the interval.
+
+    ``t`` is a scalar, which gives a float, or an array, which gives a float
+    array of its shape.  A time outside the slack (or NaN) raises
+    ``DomainError`` naming the first such value.
+    """
     tol = DOMAIN_TOL * max(1.0, T)
-    if not (-tol <= t <= T + tol):
-        raise DomainError(f"time {t!r} outside kernel domain [0, {T}]")
-    return min(max(t, 0.0), T)
+    ts = np.asarray(t, dtype=float)
+    bad = ~((ts >= -tol) & (ts <= T + tol))
+    if bad.any():
+        raise DomainError(f"time {float(ts[bad][0])!r} outside kernel domain [0, {T}]")
+    clamped = np.minimum(np.maximum(ts, 0.0), T)
+    return float(clamped) if clamped.ndim == 0 else clamped
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -59,10 +67,18 @@ class Kernel:
         if self.holder_H is not None and not self.holder_H > 0.0:
             raise DomainError(f"holder_H must be positive, got {self.holder_H}")
 
-    def __call__(self, t: float) -> float:
-        return self._value(_check_time(float(t), self.T))
+    def __call__(self, t):
+        """K(t) for a time (returns a float) or an array of times (returns an array).
 
-    def _value(self, t: float) -> float:
+        Both go through one numpy expression on an array of at least one
+        dimension, so a scalar call equals the matching entry of an array
+        call bit for bit.
+        """
+        ts = _check_time(t, self.T)
+        out = self._value(np.atleast_1d(ts))
+        return float(out[0]) if np.ndim(ts) == 0 else out
+
+    def _value(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def default_holder_metadata(self) -> tuple[float, float]:
@@ -91,7 +107,7 @@ class MonomialKernel(Kernel):
 
     def _value(self, t):
         if self.degree == 0:
-            return 1.0
+            return np.ones_like(t)
         return t**self.degree
 
     def default_holder_metadata(self):
@@ -145,7 +161,7 @@ class GammaKernel(Kernel):
             raise DomainError(f"exponent must lie in (0, 1), got {self.exponent}")
 
     def _value(self, t):
-        return math.exp(-self.rate * t) * t**self.exponent
+        return np.exp(-self.rate * t) * t**self.exponent
 
     def default_holder_metadata(self):
         # Split K(t)-K(s) into exp(-rate t)(t**h - s**h) + s**h (e^{-rate t}-e^{-rate s});
@@ -204,7 +220,7 @@ class TabulatedKernel(Kernel):
             raise DomainError("tabulated values must be finite")
 
     def _value(self, t):
-        return float(np.interp(t, self.times, self.values))
+        return np.interp(t, self.times, self.values)
 
 
 def holder_margin(kernel: Kernel, grid_points: int = 200) -> float:
@@ -215,7 +231,7 @@ def holder_margin(kernel: Kernel, grid_points: int = 200) -> float:
     """
     h, H = kernel.holder_metadata()
     ts = np.linspace(0.0, kernel.T, grid_points)
-    vals = np.array([kernel(t) for t in ts])
+    vals = kernel(ts)
     dv = np.abs(vals[:, None] - vals[None, :])
     dt = np.abs(ts[:, None] - ts[None, :])
     mask = ~np.eye(grid_points, dtype=bool)

@@ -122,7 +122,15 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _control_values(control, nodes) -> np.ndarray:
-    vals = np.array([float(control(t)) for t in nodes])
+    """The control on ``nodes``: one call on the node array, or one call per
+    node when the control cannot take an array (it raises ``TypeError`` or
+    ``ValueError``, or returns something not shaped like the nodes)."""
+    try:
+        vals = np.asarray(control(nodes), dtype=float)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != nodes.shape:
+        vals = np.array([float(control(t)) for t in nodes])
     if not np.all(np.isfinite(vals)):
         raise SimulationError("control produced non-finite values")
     return vals
@@ -132,7 +140,7 @@ def _kernel_table(problem: ControlProblem, grid: TimeGrid) -> np.ndarray:
     if abs(grid.T - problem.T) > 1e-12:
         raise DomainError("grid horizon does not match the problem horizon")
     # tabulate once; the inner loops only ever need K on the grid offsets
-    ktab = np.array([problem.kernel(j * grid.dt) for j in range(grid.n_steps + 1)])
+    ktab = problem.kernel(grid.nodes)
     if not np.all(np.isfinite(ktab)):
         raise SimulationError("kernel produced non-finite values on the grid")
     return ktab

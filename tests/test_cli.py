@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voctrl
 from voctrl.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = """
 [problem]
@@ -238,3 +245,31 @@ def test_seed_override_changes_simulation(tmp_path):
     first = (out / "paths_controlled.csv").read_bytes()
     assert main(["--config", str(cfg), "--seed", "999", "simulate"]) == 0
     assert (out / "paths_controlled.csv").read_bytes() != first
+
+
+def _run_module(*args):
+    # ``python -m voctrl.cli`` in a fresh interpreter that imports the same
+    # package as this test run
+    src = str(Path(voctrl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "voctrl.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_a_command(tmp_path):
+    out = tmp_path / "out"
+    proc = _run_module("--config", str(CONFIGS / "gamma.ini"), "--output-dir", str(out), "oracle")
+    assert proc.returncode == 0, proc.stderr
+    written = [out / "oracle.csv", out / "oracle_summary.json"]
+    assert proc.stdout.split() == [str(p) for p in written]
+    assert sorted(out.iterdir()) == written
+    assert json.loads(written[1].read_text())["sup_diff"] <= 1e-2
+
+
+def test_module_entry_point_bad_config_exits_2(tmp_path):
+    cfg, out = write_config(tmp_path, family="spline")
+    proc = _run_module("--config", str(cfg), "control")
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from voctrl import (
+    ControlProblem,
     DomainError,
     FractionalKernel,
     GammaKernel,
@@ -11,7 +12,10 @@ from voctrl import (
     MonomialKernel,
     PolynomialKernel,
     TabulatedKernel,
+    TimeGrid,
+    bernstein_kernel,
     holder_margin,
+    optimal_control_poly,
 )
 
 from .conftest import uniform_grid
@@ -137,3 +141,48 @@ def test_pointwise_continuity(kernel):
     h, H = kernel.holder_metadata()
     for t in uniform_grid(kernel.T - delta, 50):
         assert abs(kernel(t + delta) - kernel(t)) <= H * delta**h * (1.0 + 1e-9)
+
+
+ROUGH = FractionalKernel(T=2.0, exponent=0.3)
+EVALUATORS = {
+    "t^0": MonomialKernel(T=2.0, degree=0),
+    "t^3": MonomialKernel(T=2.0, degree=3),
+    "t^0.3": ROUGH,
+    "t^1.1": FractionalKernel(T=2.0, exponent=1.1, holder_h=1.0, holder_H=1.1 * 2.0**0.1),
+    "gamma": GammaKernel(T=2.0, rate=1.0, exponent=0.3),
+    "polynomial": PolynomialKernel(T=2.0, coeffs=(0.5, -1.25, 2.0, 0.75)),
+    "tabulated": TabulatedKernel(T=2.0, times=(0.0, 0.5, 1.0, 2.0), values=(0.0, 0.6, 0.9, 1.1),
+                                 holder_h=1.0, holder_H=1.2),
+    "bernstein": bernstein_kernel(ROUGH, 20),
+    "control": optimal_control_poly(
+        ControlProblem(alpha=1.0, beta=1.0, sigma=1.0, a1=1.0, a2=1.0, x0=0.0, kernel=ROUGH), 20, 50),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_scalar_and_array_calls_agree_bitwise(name):
+    f = EVALUATORS[name]
+    nodes = TimeGrid(T=2.0, dt=0.001).nodes
+    values = f(nodes)
+    assert isinstance(values, np.ndarray) and values.shape == nodes.shape
+    scalars = [f(t) for t in nodes]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(values, np.array(scalars))
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_array_outside_domain_names_the_entry(name):
+    f = EVALUATORS[name]
+    with pytest.raises(DomainError, match=r"time 2\.25 outside"):
+        f(np.array([0.0, 1.0, 2.25, -0.5]))
+    with pytest.raises(DomainError, match=r"time -0\.5 outside"):
+        f(np.array([0.0, -0.5, 1.0]))
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_array_overshoot_of_a_few_ulps_is_clamped(name):
+    f = EVALUATORS[name]
+    over = 2.0 + 4 * np.spacing(2.0)
+    under = -1e-12
+    assert np.array_equal(f(np.array([under, 1.0, over])), f(np.array([0.0, 1.0, 2.0])))
+    assert f(over) == f(2.0)

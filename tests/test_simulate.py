@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -214,3 +217,50 @@ def test_grid_horizon_must_match(fractional_kernel):
         simulate_paths(problem, zero, TimeGrid(T=1.0, dt=0.1), 2, seed=1)
     with pytest.raises(DomainError):
         simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 0, seed=1)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CountingKernel(FractionalKernel):
+    shapes: list = field(default_factory=list)
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return super().__call__(t)
+
+
+class CountingControl:
+    def __init__(self, control):
+        self.control = control
+        self.shapes = []
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return self.control(t)
+
+
+def test_kernel_table_is_one_array_call():
+    kernel = CountingKernel(T=2.0, exponent=0.3)
+    grid = TimeGrid(T=2.0, dt=0.001)
+    ktab = _kernel_table(make_problem(kernel), grid)
+    assert kernel.shapes == [(2001,)]
+    assert np.array_equal(ktab, [FractionalKernel(T=2.0, exponent=0.3)(j * grid.dt) for j in range(2001)])
+
+
+def test_control_values_is_one_array_call(fractional_kernel):
+    cp = optimal_control_poly(make_problem(fractional_kernel), 10, 30)
+    control = CountingControl(cp)
+    nodes = TimeGrid(T=2.0, dt=0.001).nodes
+    vals = _control_values(control, nodes)
+    assert control.shapes == [(2001,)]
+    assert np.array_equal(vals, cp(nodes))
+
+
+@pytest.mark.parametrize("control", [
+    lambda t: 0.0,  # returns a scalar for an array
+    lambda t: 1.0 if t < 1.0 else 0.0,  # raises ValueError on an array
+    lambda t: math.cos(t),  # raises TypeError on an array
+], ids=["constant", "step", "cos"])
+def test_scalar_only_control_falls_back_per_node(control):
+    nodes = TimeGrid(T=2.0, dt=0.001).nodes
+    vals = _control_values(control, nodes)
+    assert np.array_equal(vals, np.array([float(control(t)) for t in nodes]))
