@@ -46,14 +46,11 @@ from .kernels import (
     holder_margin,
 )
 from .lift import (
-    GammaTable,
     LiftedKernel,
-    apply_abar,
     gamma_table,
     lift_from_coefficients,
     lift_kernel,
     operator_norm_bound,
-    truncated_exp_inner,
 )
 from .mittag_leffler import Z_MAX, mittag_leffler
 from .objective import (
@@ -84,7 +81,6 @@ __all__ = [
     "DomainError",
     "FractionalKernel",
     "GammaKernel",
-    "GammaTable",
     "Kernel",
     "LiftedKernel",
     "M_MAX",
@@ -102,7 +98,6 @@ __all__ = [
     "ValueFunctionReport",
     "VoctrlError",
     "Z_MAX",
-    "apply_abar",
     "bernstein_kernel",
     "choose_M",
     "deterministic_mean",
@@ -120,7 +115,6 @@ __all__ = [
     "operator_norm_bound",
     "optimal_control_poly",
     "simulate_paths",
-    "truncated_exp_inner",
     "truncation_error_bound",
     "uniform_error_report",
     "value_function",

@@ -96,14 +96,6 @@ class BernsteinKernel:
             b[:m] += tmp[:m]
         return float(b[0, 0]) if np.ndim(ts) == 0 else b[0].copy()
 
-    def monomial_value(self, t: float) -> float:
-        """Evaluate sum_k kappa[k] t**k by Horner (cancellation sentinel)."""
-        t = _check_time(float(t), self.T)
-        acc = 0.0
-        for c in self.kappa[::-1]:
-            acc = acc * t + c
-        return acc
-
 
 def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
     """Build the degree-n Bernstein approximation of ``source``.
@@ -133,9 +125,14 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
 
 @dataclass(frozen=True)
 class ApproximationReport:
+    """sup |K - K_n| and its bound, with the uniform grid and both curves on it."""
+
     n: int
     sup_error: float
     bound: float
+    ts: np.ndarray
+    exact: np.ndarray
+    approx: np.ndarray
 
 
 def uniform_error_report(source: Kernel, n: int, grid_points: int = 400) -> ApproximationReport:
@@ -153,4 +150,4 @@ def uniform_error_report(source: Kernel, n: int, grid_points: int = 400) -> Appr
     sup_error = float(np.abs(exact - approx).max())
     h, H = source.holder_metadata()
     bound = math.inf if n == 0 else H * source.T**h * 2.0**-h * n ** (-h / 2.0)
-    return ApproximationReport(n=n, sup_error=sup_error, bound=bound)
+    return ApproximationReport(n=n, sup_error=sup_error, bound=bound, ts=ts, exact=exact, approx=approx)

@@ -52,8 +52,13 @@ def _write_csv(path: Path, header, rows):
 
 def _write_json(path: Path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_none(x: float):
+    """JSON has no infinity: a bound that does not apply is written as null."""
+    return x if np.isfinite(x) else None
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -77,18 +82,13 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def cmd_kernel_approx(cfg: RunConfig, grid_points: int = 400) -> list[Path]:
-    kernel = cfg.kernel()
-    report = uniform_error_report(kernel, cfg.n, grid_points)
-    bk = bernstein_kernel(kernel, cfg.n)
-    ts = np.linspace(0.0, kernel.T, grid_points)
-    approx = bk(ts)
-    exact = kernel(ts)
+    r = uniform_error_report(cfg.kernel(), cfg.n, grid_points)
     out = _out_dir(cfg)
     csv_path = out / "kernel_approx.csv"
     _write_csv(csv_path, ["t", "K", "K_n", "abs_error"],
-               zip(ts, exact, approx, np.abs(exact - approx)))
+               zip(r.ts, r.exact, r.approx, np.abs(r.exact - r.approx)))
     json_path = out / "kernel_approx_summary.json"
-    _write_json(json_path, {"n": cfg.n, "sup_error": report.sup_error, "bound": report.bound})
+    _write_json(json_path, {"n": cfg.n, "sup_error": r.sup_error, "bound": _finite_or_none(r.bound)})
     return [csv_path, json_path]
 
 
@@ -103,7 +103,7 @@ def cmd_control(cfg: RunConfig, n_values: list[int] | None = None) -> list[Path]
         cfg_n = with_overrides(cfg, n=n)
         M = _resolve_M(cfg_n, problem)
         cp = optimal_control_poly(problem, n, M)
-        vf = value_function(problem, n, M)
+        vf = value_function(problem, cp)
         stem = f"control_n{n}" if multi else "control"
         csv_path = out / f"{stem}.csv"
         _write_csv(csv_path, ["t", "u_hat"], zip(ts, cp(ts)))
@@ -113,7 +113,8 @@ def cmd_control(cfg: RunConfig, n_values: list[int] | None = None) -> list[Path]
             "coeffs": list(map(float, cp.coeffs)),
             "M": cp.M,
             "n": cp.n,
-            "trunc_bound": cp.trunc_bound_at_0,
+            "trunc_bound": _finite_or_none(cp.trunc_bound_at_0),
+            "bound_valid": cp.bound_valid,
             "predicted_optimal_J": vf.predicted_optimal_J,
         })
         written += [csv_path, json_path]

@@ -8,7 +8,12 @@ and truncating the operator exponential at order M turns it into an explicit
 polynomial in (T - t):
 
     u_{n,M}(t) = scale * sum_{k<=M} c_k (T-t)**k,
-    c_k = sum_{i <= min(n,k)} g[i] * gamma(i, k) / k!.
+    c_k = sum_{i <= min(n,k)} g[i] * gamma(0, k - i) / k!,
+
+so k! c_k are the coefficients of the power-series quotient
+G(z) / (1 + beta z G(z)), G(z) = sum_i g[i] z**i.  Untruncated, the control
+is the resolvent of K_n read backwards from T: R(s) = u(T - s) / scale
+solves R = K_n - beta * (K_n conv R).
 
 The dynamic-programming equation behind this is never discretized; its
 solution is affine in the state, v(t, z) = <w(t), z> + c(t), and only the
@@ -131,21 +136,22 @@ def lift_for_problem(problem: ControlProblem, n: int) -> LiftedKernel:
     return lift_kernel(bernstein_kernel(problem.kernel, n), problem.beta)
 
 
+def _over_factorial(x: float, k: int) -> float:
+    """x / k!, correctly rounded; k! itself overflows a double from k = 171 on."""
+    p, q = x.as_integer_ratio()
+    return p / (q * math.factorial(k))
+
+
 def optimal_control_poly(problem: ControlProblem, n: int, M: int) -> ControlPolynomial:
     """Assemble the truncated near-optimal control for lift degree n, order M."""
     if M < 0:
         raise NumericRangeError(f"truncation order must be nonnegative, got {M}")
     lk = lift_for_problem(problem, n)
-    table = gamma_table(lk, M)
-    coeffs = np.zeros(M + 1)
-    fact = 1.0
-    for k in range(M + 1):
-        if k > 0:
-            fact *= k
-        m = min(lk.n, k)
-        coeffs[k] = float(np.dot(lk.g[: m + 1], table.gamma[: m + 1, k])) / fact
-    if not np.all(np.isfinite(coeffs)):
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
+        a = np.convolve(lk.g, gamma_table(lk, M))[: M + 1]
+    if not np.all(np.isfinite(a)):
         raise NumericRangeError("control coefficients overflow; reduce M or n")
+    coeffs = np.array([_over_factorial(a_k, k) for k, a_k in enumerate(a)])
     T = problem.T
     valid = M >= T * operator_norm_bound(lk)
     bound = problem.scale * truncation_error_bound(lk, T, 0.0, M) if valid else math.inf
@@ -215,24 +221,20 @@ class ValueFunctionReport:
     predicted_optimal_J: float
 
 
-def value_function(problem: ControlProblem, n: int, M: int, n_intervals: int = 1000) -> ValueFunctionReport:
+def value_function(problem: ControlProblem, control: ControlPolynomial) -> ValueFunctionReport:
     """Closed-form value function evaluated by quadrature over the control.
 
     With <w(s), nu> = -(2 a1 / alpha) u(s), the time-zero constant is
 
         c0 = int_0^T (2 a1 beta x0 u(s) / alpha - a1 u(s)**2) ds,
 
-    computed with composite Simpson on at least 1000 intervals (the integrand
-    is a smooth polynomial, so the fixed rule is already negligible error).
-    The predicted optimum of the maximization problem is a2 * x0 - c0.
+    computed with composite Simpson on 1000 intervals (the integrand is a
+    smooth polynomial, so the fixed rule is already negligible error).  The
+    predicted optimum of the maximization problem is a2 * x0 - c0.
     """
-    if n_intervals < 1000:
-        n_intervals = 1000
-    if n_intervals % 2:
-        n_intervals += 1
-    cp = optimal_control_poly(problem, n, M)
+    n_intervals = 1000  # even, as composite Simpson needs
     ts = np.linspace(0.0, problem.T, n_intervals + 1)
-    u = cp(ts)
+    u = control(ts)
     integrand = 2.0 * problem.a1 * problem.beta * problem.x0 * u / problem.alpha - problem.a1 * u**2
     weights = np.ones(n_intervals + 1)
     weights[1:-1:2] = 4.0

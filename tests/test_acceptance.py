@@ -188,12 +188,12 @@ def test_6_value_function_consistency():
     worst_mc_sigmas = 0.0
     for idx, (kernel, alpha, beta) in enumerate(_example_configs()):
         problem = make_problem(kernel, alpha=alpha, beta=beta, sigma=1.0, x0=0.0)
-        predicted = value_function(problem, 20, 50).predicted_optimal_J
+        cp = optimal_control_poly(problem, 20, 50)
+        predicted = value_function(problem, cp).predicted_optimal_J
         lifted = _lifted_problem(problem, 20)
         oracle = lq_oracle(lifted, grid)
         worst_det = max(worst_det, abs(predicted - oracle.j_opt))
         assert abs(predicted - oracle.j_opt) <= 1e-3, (type(kernel).__name__, alpha, beta)
-        cp = optimal_control_poly(problem, 20, 50)
         mc = evaluate_J_mc(lifted, cp, grid, 100_000, seed=52000 + idx, workers=WORKERS)
         sigmas = abs(mc.j_estimate - predicted) / mc.std_error
         worst_mc_sigmas = max(worst_mc_sigmas, sigmas)
@@ -214,7 +214,7 @@ def test_7_gamma_recursion_matrix_oracle():
         kappa = rng.uniform(-1.0, 1.0, size=n + 1)
         beta = float(rng.uniform(0.1, 2.0))
         lk = lift_from_coefficients(kappa, beta)
-        table = gamma_table(lk, M)
+        row = gamma_table(lk, M)
         dim = M + 2
         A = np.zeros((dim, dim))
         for i in range(dim - 1):
@@ -223,7 +223,7 @@ def test_7_gamma_recursion_matrix_oracle():
         v = np.zeros(dim)
         v[0] = 1.0
         for k in range(M + 1):
-            col = table.column(k)
+            col = row[k::-1]  # gamma(i, k) = gamma(0, k - i), i = 0..k
             err = np.abs(col - v[: k + 1]) / np.maximum(1.0, np.abs(v[: k + 1]))
             worst = max(worst, float(err.max()))
             assert np.all(err <= 1e-9)

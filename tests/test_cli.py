@@ -94,14 +94,40 @@ def test_control_outputs(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["--config", str(cfg), "control"]) == 0
     meta = json.loads((out / "control.json").read_text())
-    assert set(meta) == {"scale", "coeffs", "M", "n", "trunc_bound", "predicted_optimal_J"}
+    assert set(meta) == {"scale", "coeffs", "M", "n", "trunc_bound", "bound_valid",
+                         "predicted_optimal_J"}
     assert meta["M"] == 30
+    # T * (1 + beta |g|) far exceeds M = 30 at n = 10, so no tail bound applies
+    assert meta["bound_valid"] is False and meta["trunc_bound"] is None
     assert len(meta["coeffs"]) == 31
     rows = (out / "control.csv").read_text().splitlines()
     assert rows[0] == "t,u_hat"
     assert len(rows) == 201
     ts = [float(r.split(",")[0]) for r in rows[1:]]
     assert ts[0] == 0.0 and ts[-1] == 2.0  # spans [0, T] inclusive
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_written_json_is_strict_json(tmp_path):
+    # Infinity and NaN are not JSON: bounds that do not apply are written as null
+    commands = [["kernel-approx"], ["kernel-approx", "--n", "0"], ["control"], ["simulate"],
+                ["oracle"], ["convergence", "--n-list", "1,5"]]
+    for name in ("fractional", "gamma", "monomial_sweep", "smooth"):
+        for k, cmd in enumerate(commands):
+            out = tmp_path / f"{name}_{k}"
+            argv = ["--config", str(CONFIGS / f"{name}.ini"), "--output-dir", str(out), *cmd]
+            assert main(argv) == 0, argv
+            for path in out.glob("*.json"):
+                _strict_json(path.read_text())
+    summary = _strict_json((tmp_path / "fractional_1" / "kernel_approx_summary.json").read_text())
+    assert summary["bound"] is None
+    control = _strict_json((tmp_path / "fractional_2" / "control.json").read_text())
+    assert control["bound_valid"] is False and control["trunc_bound"] is None
 
 
 def test_control_auto_truncation_order(tmp_path):
@@ -115,6 +141,7 @@ def test_control_auto_truncation_order(tmp_path):
     assert main(["--config", str(cfg), "control", "--tol", "0.1"]) == 0
     meta = json.loads((out / "control.json").read_text())
     # the emitted bound is the scaled tail estimate at the chosen order
+    assert meta["bound_valid"] is True
     assert meta["trunc_bound"] <= 0.5 * 0.1
 
 

@@ -1,16 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from voctrl import (
     DomainError,
+    FractionalKernel,
+    GammaKernel,
     M_MAX,
     MonomialKernel,
     NumericRangeError,
     PolynomialKernel,
     TimeGrid,
+    bernstein_kernel,
     choose_M,
+    lift_for_problem,
     lift_from_coefficients,
     monomial_closed_form,
     lq_oracle,
@@ -59,6 +65,62 @@ def test_truncation_order_zero_constant_kernel():
     cp = optimal_control_poly(problem, 0, 0)
     for t in (0.0, 1.0, 2.0):
         assert cp(t) == pytest.approx(0.5 * 0.9, rel=1e-15)
+
+
+def test_coefficients_past_factorial_overflow_match_mpmath(fractional_kernel):
+    # k! overflows a double from k = 171 on; c_k must not be flushed to zero.
+    # Reference: the same recurrence on the same double g, in 50 digits.
+    problem = make_problem(fractional_kernel)
+    cp = optimal_control_poly(problem, 20, M_MAX)
+    lk = lift_for_problem(problem, 20)
+    with mpmath.workdps(50):
+        g = [mpmath.mpf(float(x)) for x in lk.g]
+        gamma = [mpmath.mpf(1)]
+        for k in range(1, M_MAX + 1):
+            terms = (g[i] * gamma[k - 1 - i] for i in range(min(lk.n, k - 1) + 1))
+            gamma.append(-lk.beta * mpmath.fsum(terms))
+        ref = []
+        for k in range(M_MAX + 1):
+            a_k = mpmath.fsum(g[i] * gamma[k - i] for i in range(min(lk.n, k) + 1))
+            ref.append(float(a_k / mpmath.factorial(k)))
+    assert np.all(cp.coeffs[171:] != 0.0)
+    assert np.allclose(cp.coeffs, ref, rtol=1e-13, atol=0.0)
+
+
+RESOLVENT_CASES = [
+    # (kernel, n, M, bound on the residual / sup |R|); the Bernstein lifts of
+    # rough kernels carry |g| ~ 1e12, whose cancellation sets their floor
+    (FractionalKernel(T=2.0, exponent=0.3), 20, 50, 2e-9),
+    (FractionalKernel(T=2.0, exponent=0.3), 20, 120, 1e-10),
+    (GammaKernel(T=2.0, rate=1.0, exponent=0.3), 20, 50, 2e-9),
+    (GammaKernel(T=2.0, rate=1.0, exponent=0.3), 20, 120, 1e-10),
+    (FractionalKernel(T=2.0, exponent=1.1, holder_h=1.0, holder_H=1.1 * 2.0**0.1), 20, 50, 5e-13),
+    (PolynomialKernel(T=2.0, coeffs=(1.0,)), 0, 50, 1e-15),
+    (PolynomialKernel(T=2.0, coeffs=(0.0, 0.0, 1.0)), 2, 50, 1e-15),
+    (PolynomialKernel(T=2.0, coeffs=(0.5, -0.3, 0.2)), 2, 120, 1e-15),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel,n,M,bound", RESOLVENT_CASES,
+    ids=["t0.3-M50", "t0.3-M120", "gamma-M50", "gamma-M120", "t1.1-M50", "exact-t0",
+         "exact-t2", "exact-mixed-M120"],
+)
+def test_control_is_resolvent_of_lifted_kernel(kernel, n, M, bound):
+    # read backwards from T, the control is the beta-resolvent of K_n:
+    # R(s) = u(T - s) / scale solves R = K_n - beta * (K_n conv R)
+    problem = make_problem(kernel)
+    k_n = kernel if isinstance(kernel, PolynomialKernel) else bernstein_kernel(kernel, n)
+    cp = optimal_control_poly(problem, n, M)
+    T = problem.T
+
+    def R(s):
+        return cp(T - s) / problem.scale
+
+    sup = float(np.abs(cp(uniform_grid(T, 2001))).max()) / problem.scale
+    for s in (0.25, 0.5, 1.0, 1.5, 2.0):
+        conv, _ = quad(lambda r: k_n(s - r) * R(r), 0.0, s, epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert abs(R(s) - k_n(s) + problem.beta * conv) <= bound * sup, s
 
 
 @pytest.mark.parametrize("N,T", [(0, 2.0), (1, 2.0), (2, 2.0), (3, 1.5)])
@@ -170,7 +232,7 @@ def test_closed_form_requires_monomial(fractional_kernel):
 
 def test_value_function_zero_kernel():
     problem = _poly_problem((0.0,), x0=1.5)
-    report = value_function(problem, 0, 10)
+    report = value_function(problem, optimal_control_poly(problem, 0, 10))
     assert report.c0 == 0.0
     assert report.predicted_optimal_J == problem.a2 * 1.5
 
@@ -178,8 +240,8 @@ def test_value_function_zero_kernel():
 def test_value_function_zero_initial_state_sign():
     # with x0 = 0 the predicted optimum equals a1 * int u^2
     problem = _poly_problem((0.0, 0.0, 1.0), x0=0.0)
-    report = value_function(problem, 2, 50)
     cp = optimal_control_poly(problem, 2, 50)
+    report = value_function(problem, cp)
     from scipy.integrate import quad
 
     integral, _ = quad(lambda t: cp(t) ** 2, 0.0, 2.0, limit=200)
@@ -189,7 +251,7 @@ def test_value_function_zero_initial_state_sign():
 
 def test_value_function_matches_brute_force_optimum():
     problem = _poly_problem((1.0,), x0=0.5, alpha=1.2, beta=0.8)
-    report = value_function(problem, 0, 60)
+    report = value_function(problem, optimal_control_poly(problem, 0, 60))
     oracle = lq_oracle(problem, TimeGrid(T=2.0, dt=0.002))
     assert report.predicted_optimal_J == pytest.approx(oracle.j_opt, abs=1e-4)
 

@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from voctrl import (
     MonomialKernel,
     NumericRangeError,
-    apply_abar,
     bernstein_kernel,
     gamma_table,
     lift_from_coefficients,
     lift_kernel,
-    mittag_leffler,
     operator_norm_bound,
-    truncated_exp_inner,
 )
 
 
@@ -36,8 +34,9 @@ def test_lift_from_bernstein_linear():
 def test_lift_reconstructs_kernel():
     bk = bernstein_kernel(MonomialKernel(T=2.0, degree=2), 8)
     lk = lift_kernel(bk, beta=0.7)
+    inv_fact = np.array([1.0 / math.factorial(i) for i in range(lk.n + 1)])
     for t in np.linspace(0.0, 2.0, 9):
-        assert lk.reconstruct(t) == pytest.approx(bk.monomial_value(t), rel=1e-12, abs=1e-12)
+        assert polyval(t, lk.g * inv_fact) == pytest.approx(polyval(t, bk.kappa), rel=1e-12, abs=1e-12)
 
 
 def test_lift_overflow():
@@ -45,51 +44,22 @@ def test_lift_overflow():
         lift_from_coefficients([0.0] * 25 + [1e300], beta=1.0)
 
 
-def test_apply_abar_constant_kernel():
-    lk = lift_from_coefficients([2.5], beta=1.0)
-    out = apply_abar(lk, [1.0])
-    assert np.allclose(out, [-2.5, 1.0])
-
-
-def test_apply_abar_zero_vector():
-    lk = lift_from_coefficients([1.0, 2.0], beta=0.5)
-    out = apply_abar(lk, [0.0, 0.0, 0.0])
-    assert out.shape == (4,)
-    assert np.all(out == 0.0)
-
-
-def test_apply_abar_square_lift():
-    # <g, nu> = g[0] = 0, so only the shift acts
-    lk = lift_from_coefficients([0.0, 0.0, 1.0], beta=1.0)
-    out = apply_abar(lk, [1.0])
-    assert np.allclose(out, [0.0, 1.0])
-
-
 def test_gamma_base_cases():
     lk = lift_from_coefficients([0.4, 1.3], beta=0.8)
-    table = gamma_table(lk, 6)
-    assert table.value(0, 0) == 1.0
-    assert table.value(1, 1) == 1.0
+    row = gamma_table(lk, 6)
+    assert row.shape == (7,)
+    assert row[0] == 1.0
     # one recursion step by hand: gamma(0,1) = -beta * kappa_0
-    assert table.value(0, 1) == pytest.approx(-0.8 * 0.4, abs=1e-15)
+    assert row[1] == pytest.approx(-0.8 * 0.4, abs=1e-15)
 
 
 def test_gamma_square_lift_feedback_delay():
     # feedback first returns after N+1 = 3 shifts, with weight -beta * N!
     lk = lift_from_coefficients([0.0, 0.0, 1.0], beta=1.0)
-    table = gamma_table(lk, 6)
-    assert table.value(0, 1) == 0.0
-    assert table.value(0, 2) == 0.0
-    assert table.value(0, 3) == -2.0
-
-
-def test_gamma_shift_identity_exact():
-    rng = np.random.default_rng(7)
-    lk = lift_from_coefficients(rng.uniform(-1.0, 1.0, size=6), beta=1.3)
-    table = gamma_table(lk, 12)
-    for k in range(13):
-        for i in range(1, k + 1):
-            assert table.value(i, k) == table.value(0, k - i)
+    row = gamma_table(lk, 6)
+    assert row[1] == 0.0
+    assert row[2] == 0.0
+    assert row[3] == -2.0
 
 
 def _abar_matrix(lk, dim):
@@ -107,12 +77,12 @@ def test_gamma_matches_matrix_powers(seed):
     n = int(rng.integers(0, 8))
     lk = lift_from_coefficients(rng.uniform(-1.0, 1.0, size=n + 1), beta=float(rng.uniform(0.1, 2.0)))
     M = 15
-    table = gamma_table(lk, M)
+    row = gamma_table(lk, M)
     A = _abar_matrix(lk, M + 2)
     v = np.zeros(M + 2)
     v[0] = 1.0
     for k in range(M + 1):
-        col = table.column(k)
+        col = row[k::-1]  # gamma(i, k) = gamma(0, k - i), i = 0..k
         assert np.allclose(v[: k + 1], col, rtol=1e-9, atol=1e-12)
         assert np.all(v[k + 1 :] == 0.0)
         v = A @ v
@@ -129,46 +99,3 @@ def test_operator_norm_bound_values():
     assert operator_norm_bound(lift_from_coefficients([1.0], beta=1.0)) == 2.0
     assert operator_norm_bound(lift_from_coefficients([0.0, 0.0, 1.0], beta=1.0)) == 3.0
 
-
-def test_truncated_exp_inner_at_zero():
-    lk = lift_from_coefficients([0.7, -0.2], beta=1.1)
-    table = gamma_table(lk, 10)
-    assert truncated_exp_inner(lk, table, 0.0) == lk.g[0]
-
-
-def test_truncated_exp_inner_constant_kernel():
-    # for K = c the series is c * sum (-beta c s)^k / k! -> c exp(-beta c s)
-    c, beta = 1.5, 0.9
-    lk = lift_from_coefficients([c], beta=beta)
-    table = gamma_table(lk, 60)
-    for s in np.linspace(0.0, 2.0, 9):
-        assert truncated_exp_inner(lk, table, s) == pytest.approx(c * math.exp(-beta * c * s), abs=1e-12)
-
-
-def test_truncated_exp_inner_square_lift_value():
-    # 2 * E_{3,3}(-2) at s = 1, frozen from 50-digit summation
-    lk = lift_from_coefficients([0.0, 0.0, 1.0], beta=1.0)
-    table = gamma_table(lk, 20)
-    assert truncated_exp_inner(lk, table, 1.0) == pytest.approx(0.96686467889822918, abs=1e-12)
-
-
-@pytest.mark.parametrize("N,s_max", [(0, 2.0), (1, 2.0), (2, 2.0), (3, 1.5)])
-def test_truncated_exp_inner_mittag_leffler_limit(N, s_max):
-    # at the exact monomial lift the series converges to
-    # N! s^N E_{N+1,N+1}(-beta N! s^(N+1)); s_max for N = 3 keeps the
-    # Mittag-Leffler argument inside its series-stable range
-    lk = lift_from_coefficients([0.0] * N + [1.0], beta=1.0)
-    table = gamma_table(lk, 60)
-    fN = math.factorial(N)
-    for s in np.linspace(0.0, s_max, 21):
-        expected = fN * s**N * mittag_leffler(-fN * s ** (N + 1), N + 1, N + 1)
-        assert truncated_exp_inner(lk, table, s) == pytest.approx(expected, abs=1e-8)
-
-
-def test_truncated_exp_inner_validation():
-    lk = lift_from_coefficients([1.0], beta=1.0)
-    table = gamma_table(lk, 5)
-    with pytest.raises(NumericRangeError):
-        truncated_exp_inner(lk, table, 1.0, M=6)
-    with pytest.raises(NumericRangeError):
-        truncated_exp_inner(lk, table, -0.5)
