@@ -15,6 +15,7 @@ K_n liftable, so they are the main product here.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,29 +27,19 @@ from .kernels import Kernel, _check_time
 N_CAP = 25
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 def _forward_differences(values):
     """All forward differences Delta^k[values](0), k = 0..n.
 
-    The difference table is kept as (hi, lo) double-double pairs so the
-    alternating cancellation costs no extra rounding beyond the initial
-    representation of the kernel samples.
+    Every double is a rational number, so the difference table is kept in
+    exact Fraction arithmetic and each Delta^k is rounded to a double once:
+    the alternating cancellation adds no rounding error to the kernel
+    samples as given.
     """
-    hi = [float(v) for v in values]
-    lo = [0.0] * len(hi)
-    out = [hi[0]]
-    n = len(hi) - 1
-    for k in range(1, n + 1):
-        for i in range(n - k + 1):
-            s, e = _two_sum(hi[i + 1], -hi[i])
-            e += lo[i + 1] - lo[i]
-            hi[i], lo[i] = _two_sum(s, e)
-        out.append(hi[0] + lo[0])
+    row = [Fraction(float(v)) for v in values]
+    out = []
+    while row:
+        out.append(float(row[0]))
+        row = [b - a for a, b in zip(row, row[1:])]
     return out
 
 
@@ -105,7 +96,7 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
         kappa[k] = C(n, k) * Delta^k[f](0) / T**k,
 
     the forward-difference form of the alternating binomial sum; the two are
-    algebraically identical but the difference table is far better behaved.
+    algebraically identical, but the differences are exact and rounded once.
     """
     if n < 0:
         raise NumericRangeError(f"degree must be nonnegative, got {n}")

@@ -39,15 +39,10 @@ from .objective import evaluate_J_deterministic, lq_oracle
 from .simulate import TimeGrid, simulate_paths
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_csv(path: Path, header, columns):
+    """One CSV row per index of the columns (1-d arrays or 2-d column blocks)."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _write_json(path: Path, obj):
@@ -67,18 +62,20 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _resolve_M(cfg: RunConfig, problem) -> int:
+def _resolve_M(cfg: RunConfig, problem, n: int) -> int:
     if not cfg.m_auto:
         return int(cfg.M)
-    lk = lift_for_problem(problem, cfg.n)
-    return choose_M(lk, problem.T, cfg.tol)
+    return choose_M(lift_for_problem(problem, n), problem.T, cfg.tol)
 
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        return [int(p) for chunk in text.split(",") for p in chunk.split()]
+        ns = [int(p) for chunk in text.split(",") for p in chunk.split()]
     except ValueError as exc:
         raise ConfigError(f"could not parse degree list {text!r}") from exc
+    if not ns:
+        raise ConfigError(f"degree list {text!r} names no degree")
+    return ns
 
 
 def cmd_kernel_approx(cfg: RunConfig, grid_points: int = 400) -> list[Path]:
@@ -86,27 +83,24 @@ def cmd_kernel_approx(cfg: RunConfig, grid_points: int = 400) -> list[Path]:
     out = _out_dir(cfg)
     csv_path = out / "kernel_approx.csv"
     _write_csv(csv_path, ["t", "K", "K_n", "abs_error"],
-               zip(r.ts, r.exact, r.approx, np.abs(r.exact - r.approx)))
+               (r.ts, r.exact, r.approx, np.abs(r.exact - r.approx)))
     json_path = out / "kernel_approx_summary.json"
     _write_json(json_path, {"n": cfg.n, "sup_error": r.sup_error, "bound": _finite_or_none(r.bound)})
     return [csv_path, json_path]
 
 
-def cmd_control(cfg: RunConfig, n_values: list[int] | None = None) -> list[Path]:
+def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
     problem = cfg.problem()
-    ns = n_values if n_values else [cfg.n]
     out = _out_dir(cfg)
     ts = np.linspace(0.0, problem.T, 200)
     written = []
     multi = len(ns) > 1
     for n in ns:
-        cfg_n = with_overrides(cfg, n=n)
-        M = _resolve_M(cfg_n, problem)
-        cp = optimal_control_poly(problem, n, M)
+        cp = optimal_control_poly(problem, n, _resolve_M(cfg, problem, n))
         vf = value_function(problem, cp)
         stem = f"control_n{n}" if multi else "control"
         csv_path = out / f"{stem}.csv"
-        _write_csv(csv_path, ["t", "u_hat"], zip(ts, cp(ts)))
+        _write_csv(csv_path, ["t", "u_hat"], (ts, cp(ts)))
         json_path = out / f"{stem}.json"
         _write_json(json_path, {
             "scale": cp.scale,
@@ -121,7 +115,7 @@ def cmd_control(cfg: RunConfig, n_values: list[int] | None = None) -> list[Path]
     if isinstance(problem.kernel, MonomialKernel):
         ref_path = out / "control_reference.csv"
         _write_csv(ref_path, ["t", "u_exact"],
-                   zip(ts, [monomial_closed_form(problem, t) for t in ts]))
+                   (ts, [monomial_closed_form(problem, t) for t in ts]))
         written.append(ref_path)
     return written
 
@@ -129,8 +123,7 @@ def cmd_control(cfg: RunConfig, n_values: list[int] | None = None) -> list[Path]
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     problem = cfg.problem()
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
-    M = _resolve_M(cfg, problem)
-    cp = optimal_control_poly(problem, cfg.n, M)
+    cp = optimal_control_poly(problem, cfg.n, _resolve_M(cfg, problem, cfg.n))
     out = _out_dir(cfg)
     written = []
     summary = {"n_paths": cfg.n_paths, "seed": cfg.seed}
@@ -138,9 +131,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         batch = simulate_paths(problem, control, grid, cfg.n_paths, cfg.seed)
         csv_path = out / f"paths_{label}.csv"
         header = ["t"] + [f"path_{p + 1}" for p in range(cfg.n_paths)]
-        _write_csv(csv_path, header,
-                   (np.concatenate(([t], batch.paths[:, i]))
-                    for i, t in enumerate(grid.nodes)))
+        _write_csv(csv_path, header, (grid.nodes, batch.paths.T))
         xT = batch.paths[:, -1]
         stats = {"mean_XT": float(xT.mean()), "var_XT": float(xT.var(ddof=1))}
         if label == "controlled":
@@ -160,50 +151,43 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
     oracle = lq_oracle(problem, grid)
     h, _ = problem.kernel.holder_metadata()
     ts = np.linspace(0.0, problem.T, 100)
+    exact = (np.array([monomial_closed_form(problem, t) for t in ts])
+             if isinstance(problem.kernel, MonomialKernel) else None)
     rows = []
     for n in n_values:
-        M = _resolve_M(with_overrides(cfg, n=n), problem)
-        cp = optimal_control_poly(problem, n, M)
+        cp = optimal_control_poly(problem, n, _resolve_M(cfg, problem, n))
         j_hat = evaluate_J_deterministic(problem, cp, grid).j_estimate
         gap = oracle.j_opt - j_hat
         # gap against the discretized optimum of the original-kernel problem;
         # a proxy only, since the true supremum is unknown for rough kernels
         rate_proxy = gap * n ** (h / 2.0) if n > 0 else float("nan")
-        if isinstance(problem.kernel, MonomialKernel):
-            exact = np.array([monomial_closed_form(problem, t) for t in ts])
-            sup_dist = float(np.abs(cp(ts) - exact).max())
-        else:
-            sup_dist = float("nan")
+        sup_dist = float("nan") if exact is None else float(np.abs(cp(ts) - exact).max())
         rows.append((n, j_hat, oracle.j_opt, gap, rate_proxy, sup_dist))
     out = _out_dir(cfg)
     csv_path = out / "convergence.csv"
     _write_csv(csv_path,
                ["n", "J_hat", "J_oracle_proxy", "gap_proxy", "rate_proxy", "supdist_closed_form"],
-               rows)
+               tuple(zip(*rows)))
     return [csv_path]
 
 
 def cmd_oracle(cfg: RunConfig) -> list[Path]:
-    problem = cfg.problem()
-    grid = TimeGrid(T=problem.T, dt=cfg.dt)
-    M = _resolve_M(cfg, problem)
-    cp = optimal_control_poly(problem, cfg.n, M)
     # cross-validate against an independent discretization of the same
-    # polynomial-kernel program the lift solves
-    if isinstance(problem.kernel, PolynomialKernel):
-        lifted_problem = problem
-    else:
-        lifted_problem = dataclasses.replace(
-            problem, kernel=bernstein_kernel(problem.kernel, cfg.n)
-        )
-    oracle = lq_oracle(lifted_problem, grid)
+    # polynomial-kernel program the lift solves; K_n is built once and lifted
+    # exactly from then on
+    problem = cfg.problem()
+    if not isinstance(problem.kernel, PolynomialKernel):
+        problem = dataclasses.replace(problem, kernel=bernstein_kernel(problem.kernel, cfg.n))
+    grid = TimeGrid(T=problem.T, dt=cfg.dt)
+    cp = optimal_control_poly(problem, cfg.n, _resolve_M(cfg, problem, cfg.n))
+    oracle = lq_oracle(problem, grid)
     uh = cp(grid.nodes)
     diff = np.abs(oracle.u_values - uh)
-    j_hat = evaluate_J_deterministic(lifted_problem, cp, grid).j_estimate
+    j_hat = evaluate_J_deterministic(problem, cp, grid).j_estimate
     out = _out_dir(cfg)
     csv_path = out / "oracle.csv"
     _write_csv(csv_path, ["t", "u_star", "u_hat_nM", "abs_diff"],
-               zip(grid.nodes, oracle.u_values, uh, diff))
+               (grid.nodes, oracle.u_values, uh, diff))
     json_path = out / "oracle_summary.json"
     _write_json(json_path, {
         "J_opt_oracle": oracle.j_opt,
@@ -248,11 +232,7 @@ def control_command(cfg, n_text, m_text, tol):
     cfg = with_overrides(cfg, tol=tol)
     if m_text is not None:
         cfg = dataclasses.replace(cfg, M=None if m_text.strip().lower() == "auto" else int(m_text))
-    n_values = _parse_n_list(n_text) if n_text else None
-    if n_values and len(n_values) == 1:
-        cfg = with_overrides(cfg, n=n_values[0])
-        n_values = None
-    for path in cmd_control(cfg, n_values):
+    for path in cmd_control(cfg, _parse_n_list(n_text) if n_text else [cfg.n]):
         click.echo(str(path))
 
 

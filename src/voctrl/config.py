@@ -31,17 +31,6 @@ from .kernels import (
     TabulatedKernel,
 )
 
-_DEFAULTS = {
-    "alpha": 1.0,
-    "beta": 1.0,
-    "sigma": 1.0,
-    "a1": 1.0,
-    "a2": 1.0,
-    "x0": 0.0,
-    "T": 2.0,
-}
-
-
 @dataclass
 class RunConfig:
     alpha: float = 1.0
@@ -127,8 +116,8 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"config file {path} not found or unreadable")
 
     prob = parser["problem"] if parser.has_section("problem") else None
-    for key, default in _DEFAULTS.items():
-        setattr(cfg, key, _get_float(prob, key, default))
+    for key in ("alpha", "beta", "sigma", "a1", "a2", "x0", "T"):
+        setattr(cfg, key, _get_float(prob, key, getattr(cfg, key)))
 
     if parser.has_section("kernel"):
         ker = parser["kernel"]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import bernstein_kernel
+from .bernstein import BernsteinKernel, bernstein_kernel
 from .errors import DomainError, NumericRangeError
 from .kernels import Kernel, MonomialKernel, PolynomialKernel, _check_time
 from .lift import (
@@ -127,13 +127,20 @@ class ControlPolynomial:
 def lift_for_problem(problem: ControlProblem, n: int) -> LiftedKernel:
     """Lift the problem's kernel: exactly for polynomials, else via Bernstein(n).
 
-    Monomial kernels are a special case of the exact route when expressed as
-    PolynomialKernel; as MonomialKernel they go through Bernstein like any
-    other continuous kernel, which is what the approximation studies need.
+    A PolynomialKernel is lifted from its coefficients and a BernsteinKernel
+    from its kappa, whatever n is: both already are the polynomial the lift
+    needs, so a problem posed on K_n is solved for that K_n and not for its
+    Bernstein approximation.  Monomial kernels are a special case of the
+    exact route when expressed as PolynomialKernel; as MonomialKernel they go
+    through Bernstein like any other continuous kernel, which is what the
+    approximation studies need.
     """
-    if isinstance(problem.kernel, PolynomialKernel):
-        return lift_from_coefficients(problem.kernel.coeffs, problem.beta)
-    return lift_kernel(bernstein_kernel(problem.kernel, n), problem.beta)
+    kernel = problem.kernel
+    if isinstance(kernel, PolynomialKernel):
+        return lift_from_coefficients(kernel.coeffs, problem.beta)
+    if not isinstance(kernel, BernsteinKernel):
+        kernel = bernstein_kernel(kernel, n)
+    return lift_kernel(kernel, problem.beta)
 
 
 def _over_factorial(x: float, k: int) -> float:

@@ -156,6 +156,29 @@ def test_control_degree_list_reproduces_reference(tmp_path):
     assert all(a >= b for a, b in zip(sups, sups[1:]))
 
 
+def test_control_single_degree_keeps_plain_file_names(tmp_path):
+    cfg, out = write_config(tmp_path)
+    assert main(["--config", str(cfg), "control", "--n", "7"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["control.csv", "control.json"]
+    assert json.loads((out / "control.json").read_text())["n"] == 7
+
+
+@pytest.mark.parametrize("cmd", [["control", "--n", ","], ["convergence", "--n-list", " , "]])
+def test_empty_degree_list_is_config_error(tmp_path, cmd):
+    cfg, _ = write_config(tmp_path)
+    assert main(["--config", str(cfg), *cmd]) == 2
+
+
+def test_missing_problem_keys_take_run_config_defaults(tmp_path):
+    from dataclasses import replace
+
+    from voctrl.config import RunConfig, load_config
+
+    path = tmp_path / "partial.ini"
+    path.write_text("[problem]\nbeta = 0.5\n\n[kernel]\nfamily = fractional\nparams = 0.3\n")
+    assert load_config(path) == replace(RunConfig(), beta=0.5, family="fractional", params=(0.3,))
+
+
 def test_simulate_outputs_and_reruns_are_byte_identical(tmp_path):
     cfg, out = write_config(tmp_path, n_paths=5, dt=0.1)
     assert main(["--config", str(cfg), "simulate"]) == 0
@@ -264,6 +287,35 @@ def test_csv_floats_round_trip_losslessly(tmp_path):
     ts = np.linspace(0.0, 2.0, 200)
     assert np.array_equal(data[:, 0], ts)
     assert np.array_equal(data[:, 1], cp(ts))
+
+
+def test_csv_text_is_pinned(tmp_path):
+    # integers print bare; -0, subnormals and non-finite values survive
+    from voctrl.cli import _write_csv
+
+    path = tmp_path / "pinned.csv"
+    nan, inf = float("nan"), float("inf")
+    _write_csv(path, ["n", "x", "y"], ([0, 1, 20], [0.1, -0.0, 5e-324], [nan, inf, -inf]))
+    assert path.read_bytes() == (b"n,x,y\n0,0.10000000000000001,nan\n1,-0,inf\n"
+                                 b"20,4.9406564584124654e-324,-inf\n")
+
+
+def test_oracle_builds_the_bernstein_kernel_once(tmp_path, monkeypatch):
+    # the K_n problem is built once and serves the control, the oracle and J
+    from voctrl.bernstein import bernstein_kernel
+
+    calls = []
+
+    def counting(source, n):
+        calls.append(n)
+        return bernstein_kernel(source, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "voctrl" and getattr(module, "bernstein_kernel", None) is bernstein_kernel:
+            monkeypatch.setattr(module, "bernstein_kernel", counting)
+    argv = ["--config", str(CONFIGS / "gamma.ini"), "--output-dir", str(tmp_path), "oracle"]
+    assert main(argv) == 0
+    assert calls == [20]
 
 
 def test_seed_override_changes_simulation(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -144,6 +145,20 @@ def test_bernstein_of_linear_kernel_reproduces_closed_form():
         ts = uniform_grid(2.0, 50)
         assert np.array_equal(cp(ts), exact(ts))
         assert max(abs(cp(t) - monomial_closed_form(reference, t)) for t in ts) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [
+    FractionalKernel(T=2.0, exponent=0.3),
+    GammaKernel(T=2.0, rate=1.0, exponent=0.3),
+    FractionalKernel(T=2.0, exponent=1.1, holder_h=1.0, holder_H=1.1 * 2.0**0.1),
+], ids=["t0.3", "gamma", "t1.1"])
+def test_problem_posed_on_bernstein_kernel_is_lifted_exactly(kernel):
+    # K_n already is a polynomial: lifting it through Bernstein(n) once more
+    # would solve the program of (K_n)_n, 3.5e-2 away for t^0.3
+    problem = make_problem(kernel)
+    on_k_n = replace(problem, kernel=bernstein_kernel(kernel, 20))
+    assert np.array_equal(optimal_control_poly(on_k_n, 20, 50).coeffs,
+                          optimal_control_poly(problem, 20, 50).coeffs)
 
 
 def test_control_invariant_under_noise_and_initial_state():
