@@ -2,9 +2,11 @@
 
 Commands read one INI config (see voctrl.config), apply flag overrides, and
 write CSV/JSON artifacts into the output directory.  Runs are deterministic
-given the config, including seeds, so re-runs are byte-identical; the
-VOC_THREADS environment variable bounds simulation workers without changing
-any output.
+given the config, including seeds, so re-runs are byte-identical.  The
+VOC_THREADS environment variable bounds the threads that draw simulation
+noise (default: the usable CPUs) without changing any output.  With
+``M = auto`` each degree's K_n is built once and serves both the choice of M
+and the control; simulation and the objective stay on the original kernel.
 
 Exit codes: 0 success, 2 config error, 3 numeric-range error, 4 simulation
 error.
@@ -62,6 +64,14 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _on_kn(problem, n: int):
+    """The problem posed on K_n, built once: the lifts in ``_resolve_M`` and
+    ``optimal_control_poly`` then take it exactly from its coefficients."""
+    if isinstance(problem.kernel, PolynomialKernel):
+        return problem
+    return dataclasses.replace(problem, kernel=bernstein_kernel(problem.kernel, n))
+
+
 def _resolve_M(cfg: RunConfig, problem, n: int) -> int:
     if not cfg.m_auto:
         return int(cfg.M)
@@ -96,7 +106,8 @@ def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
     written = []
     multi = len(ns) > 1
     for n in ns:
-        cp = optimal_control_poly(problem, n, _resolve_M(cfg, problem, n))
+        kn = _on_kn(problem, n)
+        cp = optimal_control_poly(kn, n, _resolve_M(cfg, kn, n))
         vf = value_function(problem, cp)
         stem = f"control_n{n}" if multi else "control"
         csv_path = out / f"{stem}.csv"
@@ -123,7 +134,8 @@ def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     problem = cfg.problem()
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
-    cp = optimal_control_poly(problem, cfg.n, _resolve_M(cfg, problem, cfg.n))
+    kn = _on_kn(problem, cfg.n)
+    cp = optimal_control_poly(kn, cfg.n, _resolve_M(cfg, kn, cfg.n))
     out = _out_dir(cfg)
     written = []
     summary = {"n_paths": cfg.n_paths, "seed": cfg.seed}
@@ -155,7 +167,8 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
              if isinstance(problem.kernel, MonomialKernel) else None)
     rows = []
     for n in n_values:
-        cp = optimal_control_poly(problem, n, _resolve_M(cfg, problem, n))
+        kn = _on_kn(problem, n)
+        cp = optimal_control_poly(kn, n, _resolve_M(cfg, kn, n))
         j_hat = evaluate_J_deterministic(problem, cp, grid).j_estimate
         gap = oracle.j_opt - j_hat
         # gap against the discretized optimum of the original-kernel problem;
@@ -173,11 +186,8 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
 
 def cmd_oracle(cfg: RunConfig) -> list[Path]:
     # cross-validate against an independent discretization of the same
-    # polynomial-kernel program the lift solves; K_n is built once and lifted
-    # exactly from then on
-    problem = cfg.problem()
-    if not isinstance(problem.kernel, PolynomialKernel):
-        problem = dataclasses.replace(problem, kernel=bernstein_kernel(problem.kernel, cfg.n))
+    # polynomial-kernel program the lift solves
+    problem = _on_kn(cfg.problem(), cfg.n)
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
     cp = optimal_control_poly(problem, cfg.n, _resolve_M(cfg, problem, cfg.n))
     oracle = lq_oracle(problem, grid)

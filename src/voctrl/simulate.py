@@ -14,17 +14,24 @@ Brownian increment:
 Noise is counter-based: one Philox stream keyed by the seed, with path p
 owning counter blocks [p*bpp, (p+1)*bpp) where bpp = ceil(n_steps / 4)
 (Philox emits 4 words per block).  The word for (path, step) is therefore a
-pure function of (seed, path, step).
+pure function of (seed, path, step), and any range of paths can be drawn on
+its own by advancing the stream to it.  ``gaussian_increments`` splits the
+paths into fixed ``_BLOCK_PATHS`` chunks and draws them on a thread pool
+(``random_raw`` and ``ndtri`` release the GIL); each chunk pulls its words
+512 paths at a time, so the full word array is never held.
 
-State and forcing are stored time-major (steps x paths).  ``_fill`` solves
-the first half of a step range, adds that half's whole effect on the second
-half as one GEMM against a Toeplitz block of the kernel table, and recurses
-into the second half; short ranges go one GEMV per step.  When beta == 0 the
-forcing does not depend on the state and the whole strictly-lower triangle
-is one GEMM.  The path count is padded to a multiple of ``_PAD`` with extra
-Philox paths, dropped afterwards, and workers take fixed ``_BLOCK_PATHS``
-column blocks: every real path sees the same BLAS tiling, so its values are
-bit-identical whatever the worker count or ``n_paths``.
+State and forcing are stored time-major (steps x paths).  ``simulate_paths``
+writes the increments straight into rows 1..N of the path array, then runs
+the recursion over fixed ``_BLOCK_PATHS`` column blocks in the calling
+thread, on BLAS threads; each block copies out its own forcing first.
+``_fill`` solves the first half of a step range, adds that half's whole
+effect on the second half as one GEMM against a Toeplitz block of the kernel
+table, and recurses into the second half; short ranges go one GEMV per step.
+When beta == 0 the forcing does not depend on the state and the whole
+strictly-lower triangle is one GEMM.  The path count is padded to a multiple
+of ``_PAD`` with extra Philox paths, dropped afterwards: every real path sees
+the same BLAS tiling, so its values are bit-identical whatever the worker
+count or ``n_paths``.
 
 The deterministic mean, and the LQ oracle in ``objective``, solve linear
 Volterra equations of the second kind with one trapezoidal product-quadrature
@@ -49,7 +56,8 @@ DEFAULT_BACKEND = "numpy"
 
 _MASK64 = (1 << 64) - 1
 _PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
-_BLOCK_PATHS = 4096  # columns per worker task, never derived from the worker count
+_BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the workers
+_DRAW_PATHS = 512  # paths per Philox draw: the words of one draw stay in cache
 _LEAF_STEPS = 16  # step ranges this short go one GEMV per step
 
 
@@ -88,27 +96,61 @@ class PathBatch:
     grid: TimeGrid
 
 
-def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
-    """Increment matrix dW ~ Normal(0, dt), shape (n_paths, n_steps).
-
-    Philox counter addressing as described in the module docstring; the
-    uniform for each word w is ((w >> 11) + 0.5) * 2**-53, mapped through the
-    normal quantile function.  The result is stored step-major, so its
-    transpose is a contiguous (n_steps, n_paths) array.
-    """
-    blocks_per_path = max(1, -(-n_steps // 4))
+def _fill_noise(u: np.ndarray, seed: int, first_path: int, dt: float) -> None:
+    """Increments of paths first_path, first_path + 1, ... into the step-major
+    column block ``u`` (n_steps x paths), in place."""
+    n_steps, n_paths = u.shape
+    bpp = max(1, -(-n_steps // 4))
     bg = np.random.Philox(key=seed & _MASK64)
-    words = bg.random_raw(4 * blocks_per_path * n_paths)
-    words >>= np.uint64(11)
-    by_path = words.reshape(n_paths, 4 * blocks_per_path)[:, :n_steps]
-    u = np.empty((n_steps, n_paths))
-    for a in range(0, n_paths, 512):  # transpose in cache-sized blocks
-        u[:, a : a + 512] = by_path[a : a + 512].T
+    bg.advance(bpp * first_path)
+    for a in range(0, n_paths, _DRAW_PATHS):
+        k = min(_DRAW_PATHS, n_paths - a)
+        words = bg.random_raw(4 * bpp * k)
+        words >>= np.uint64(11)
+        u[:, a : a + k] = words.reshape(k, 4 * bpp)[:, :n_steps].T
     u += 0.5
     u *= 2.0**-53
     ndtri(u, out=u)
     u *= math.sqrt(dt)
-    return u.T
+
+
+def gaussian_increments(
+    seed: int,
+    n_paths: int,
+    n_steps: int,
+    dt: float,
+    workers: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Increment matrix dW ~ Normal(0, dt), shape (n_paths, n_steps).
+
+    Philox counter addressing as described in the module docstring; the
+    uniform for each word w is ((w >> 11) + 0.5) * 2**-53, mapped through the
+    normal quantile function.  The result is stored step-major: it is the
+    transpose of a C-contiguous (n_steps, n_paths) array, or of ``out`` when
+    given (a float64 array of that shape, rows may be strided), which is
+    filled in place.  ``workers`` bounds the threads that draw the fixed
+    ``_BLOCK_PATHS`` chunks (default: VOC_THREADS, else the usable CPUs); the
+    values never depend on it.
+    """
+    if out is None:
+        out = np.empty((n_steps, n_paths))
+    elif out.shape != (n_steps, n_paths) or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {(n_steps, n_paths)}, "
+                         f"got {out.dtype} {out.shape}")
+    starts = range(0, n_paths, _BLOCK_PATHS)
+
+    def fill(a):
+        _fill_noise(out[:, a : a + _BLOCK_PATHS], seed, a, dt)
+
+    workers = min(_resolve_workers(workers), len(starts))
+    if workers <= 1:
+        for a in starts:
+            fill(a)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
+    return out.T
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -116,9 +158,16 @@ def _resolve_workers(workers: int | None) -> int:
         return max(1, int(workers))
     env = os.environ.get("VOC_THREADS", "")
     try:
-        return max(1, int(env)) if env else 1
+        return max(1, int(env)) if env else _usable_cpus()
     except ValueError:
         raise ConfigError(f"VOC_THREADS must be an integer, got {env!r}") from None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _control_values(control, nodes) -> np.ndarray:
@@ -204,7 +253,14 @@ def _fill(X, G, rk, beta_dt, lo, hi):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller rejects non-finite states
-def _simulate_block(X, G, rk, x0, beta_dt):
+def _simulate_block(X, rk, drift, sigma, x0, beta_dt):
+    """Paths of one (n_steps + 1) x paths block whose rows 1.. hold dW on entry.
+
+    The forcing sigma dW + drift is copied out first, so it lives only for
+    the block.
+    """
+    G = X[1:] * sigma
+    G += drift
     n_steps = len(G)
     X[0] = x0
     if beta_dt == 0.0:
@@ -225,39 +281,40 @@ def simulate_paths(
 ) -> PathBatch:
     """Simulate n_paths goodwill trajectories under a deterministic control.
 
-    ``workers`` bounds thread fan-out over fixed path blocks (default: the
-    VOC_THREADS environment variable, else 1); it never changes the result.
-    ``paths`` of the returned batch is a transposed view of the time-major
-    (steps x paths) storage.
+    ``workers`` bounds the threads that draw the noise (default: the
+    VOC_THREADS environment variable, else the usable CPUs); it never changes
+    the result.  ``paths`` of the returned batch is a transposed view of the
+    time-major (steps x paths) storage.
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    workers = _resolve_workers(workers)
     n_steps = grid.n_steps
     dt = grid.dt
     ktab = _kernel_table(problem, grid)
     ctl = _control_values(control, grid.nodes[:-1])
     rk = np.concatenate((ktab[:0:-1], np.zeros(n_steps)))
     n_padded = -(-n_paths // _PAD) * _PAD
-    G = gaussian_increments(seed, n_padded, n_steps, dt).T
-    G *= problem.sigma
-    G += (problem.alpha * dt * ctl)[:, None]
     X = np.empty((n_steps + 1, n_padded))
+    gaussian_increments(seed, n_padded, n_steps, dt, workers, out=X[1:])
+    drift = (problem.alpha * dt * ctl)[:, None]
+    for a in range(0, n_padded, _BLOCK_PATHS):
+        Xb = X[:, a : a + _BLOCK_PATHS]
+        _simulate_block(Xb, rk, drift, problem.sigma, problem.x0, problem.beta * dt)
+        _check_finite(Xb[:, : n_paths - a], a, dt)
+    return PathBatch(paths=X[:, :n_paths].T, seed=seed, grid=grid)
 
-    def run(cols):
-        _simulate_block(X[:, cols], G[:, cols], rk, problem.x0, problem.beta * dt)
 
-    blocks = [slice(a, a + _BLOCK_PATHS) for a in range(0, n_padded, _BLOCK_PATHS)]
-    if workers == 1 or len(blocks) == 1:
-        for cols in blocks:
-            run(cols)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            list(pool.map(run, blocks))
-    paths = X[:, :n_paths].T
-    if not np.all(np.isfinite(paths)):
-        raise SimulationError("simulation produced non-finite state values")
-    return PathBatch(paths=paths, seed=seed, grid=grid)
+def _check_finite(Xb: np.ndarray, first_path: int, dt: float) -> None:
+    """Raise naming the first non-finite state of a (steps x paths) block:
+    the lowest path, at the earliest step it has one."""
+    bad = ~np.isfinite(Xb)
+    if bad.any():
+        p = int(np.argmax(bad.any(axis=0)))
+        i = int(np.argmax(bad[:, p]))
+        raise SimulationError(
+            f"simulation produced a non-finite state on path {first_path + p} "
+            f"at step {i} (t = {i * dt:.6g})"
+        )
 
 
 def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:

@@ -300,8 +300,9 @@ def test_csv_text_is_pinned(tmp_path):
                                  b"20,4.9406564584124654e-324,-inf\n")
 
 
-def test_oracle_builds_the_bernstein_kernel_once(tmp_path, monkeypatch):
-    # the K_n problem is built once and serves the control, the oracle and J
+@pytest.fixture
+def bernstein_calls(monkeypatch):
+    """The degree of every ``bernstein_kernel`` call, wherever voctrl holds it."""
     from voctrl.bernstein import bernstein_kernel
 
     calls = []
@@ -313,9 +314,29 @@ def test_oracle_builds_the_bernstein_kernel_once(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "voctrl" and getattr(module, "bernstein_kernel", None) is bernstein_kernel:
             monkeypatch.setattr(module, "bernstein_kernel", counting)
+    return calls
+
+
+def test_oracle_builds_the_bernstein_kernel_once(tmp_path, bernstein_calls):
+    # the K_n problem is built once and serves the control, the oracle and J
     argv = ["--config", str(CONFIGS / "gamma.ini"), "--output-dir", str(tmp_path), "oracle"]
     assert main(argv) == 0
-    assert calls == [20]
+    assert bernstein_calls == [20]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["control"], [1]),
+    (["simulate"], [1]),
+    (["convergence", "--n-list", "1,2"], [1, 2]),
+], ids=["control", "simulate", "convergence"])
+def test_auto_M_builds_each_bernstein_kernel_once(tmp_path, bernstein_calls, argv, expected):
+    # with M = auto one K_n per degree serves both the choice of M and the control
+    config = BASE.replace("T = 2.0", "T = 1.0").replace("M = {M}", "M = auto\ntol = 0.5")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config.format(family="monomial", params="1", extra="", n=1, dt=0.05,
+                                 n_paths=4, out=tmp_path / "out"))
+    assert main(["--config", str(cfg), *argv]) == 0
+    assert bernstein_calls == expected
 
 
 def test_seed_override_changes_simulation(tmp_path):

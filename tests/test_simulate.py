@@ -70,18 +70,73 @@ def test_terminal_variance_matches_ito_isometry(degree):
     assert abs(batch.paths[:, -1].var(ddof=1) - target) <= 3.0 * se
 
 
-def test_increment_layout_is_counter_addressable():
-    # row p must be reproducible in isolation from (seed, path index) alone
-    seed, n_steps, dt = 987, 10, 0.1
-    dw = gaussian_increments(seed, 6, n_steps, dt)
+def philox_reference(seed, path, n_steps, dt):
+    """Increments of one path from its own Philox counter range alone."""
     from scipy.special import ndtri
 
     blocks_per_path = -(-n_steps // 4)
     bg = np.random.Philox(key=seed)
-    bg.advance(3 * blocks_per_path)
+    bg.advance(path * blocks_per_path)
     words = bg.random_raw(4 * blocks_per_path)[:n_steps]
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    assert np.array_equal(dw[3], ndtri(u) * np.sqrt(dt))
+    return ndtri(u) * np.sqrt(dt)
+
+
+def test_increment_layout_is_counter_addressable():
+    # row p must be reproducible in isolation from (seed, path index) alone
+    seed, n_steps, dt = 987, 10, 0.1
+    dw = gaussian_increments(seed, 6, n_steps, dt)
+    assert np.array_equal(dw[3], philox_reference(seed, 3, n_steps, dt))
+
+
+@pytest.fixture(scope="module")
+def three_chunk_reference():
+    # 2 * 4096 + 5 paths: two full noise chunks and a short third one
+    seed, n_paths, n_steps, dt = 4242, 2 * 4096 + 5, 7, 0.25
+    ref = np.array([philox_reference(seed, p, n_steps, dt) for p in range(n_paths)])
+    return seed, n_paths, n_steps, dt, ref
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, None])
+def test_increment_chunks_match_per_path_reference(workers, three_chunk_reference, monkeypatch):
+    seed, n_paths, n_steps, dt, ref = three_chunk_reference
+    monkeypatch.delenv("VOC_THREADS", raising=False)
+    assert np.array_equal(gaussian_increments(seed, n_paths, n_steps, dt, workers=workers), ref)
+
+
+def test_increments_fill_a_strided_out_in_place(three_chunk_reference):
+    seed, n_paths, n_steps, dt, ref = three_chunk_reference
+    X = np.zeros((n_steps + 1, n_paths + 3))
+    dw = gaussian_increments(seed, n_paths, n_steps, dt, workers=2, out=X[1:, :n_paths])
+    assert np.shares_memory(dw, X)
+    assert np.array_equal(X[1:, :n_paths].T, ref)
+    assert not X[0].any() and not X[:, n_paths:].any()
+    with pytest.raises(ValueError):
+        gaussian_increments(seed, n_paths, n_steps, dt, out=X[1:])
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_simulation_holds_one_block_of_forcing(beta):
+    # the increments are drawn into the path array itself; beside it there is
+    # one block's forcing and, for beta != 0, the top split's GEMM product
+    import tracemalloc
+
+    from voctrl.simulate import _BLOCK_PATHS, _PAD
+
+    problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), beta=beta)
+    grid = TimeGrid(T=2.0, dt=0.01)
+    n_paths, n_steps = 8200, grid.n_steps
+    simulate_paths(problem, one, grid, 2, seed=1)  # lazy imports and caches
+    paths_bytes = 8 * (n_steps + 1) * (-(-n_paths // _PAD) * _PAD)
+    forcing_bytes = 8 * n_steps * _BLOCK_PATHS
+    split_bytes = 0 if beta == 0.0 else 8 * (n_steps - n_steps // 2) * _BLOCK_PATHS
+    tracemalloc.start()
+    try:
+        simulate_paths(problem, one, grid, n_paths, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < paths_bytes + forcing_bytes + split_bytes + 2 * 2**20
 
 
 def test_increment_moments():
@@ -209,6 +264,14 @@ def test_non_finite_control_rejected(fractional_kernel):
     problem = make_problem(fractional_kernel)
     with pytest.raises(SimulationError):
         simulate_paths(problem, lambda t: float("nan"), TimeGrid(T=2.0, dt=0.1), 2, seed=1)
+
+
+def test_state_overflow_names_path_and_step():
+    # x1 = 1 - beta dt is about -1e299, so g1 = -beta dt x1 overflows and
+    # every path first turns non-finite at step 2
+    problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=1e300, x0=1.0)
+    with pytest.raises(SimulationError, match=r"on path 0 at step 2 \(t = 0\.2\)"):
+        simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
 
 
 def test_grid_horizon_must_match(fractional_kernel):
