@@ -43,13 +43,11 @@ from .kernels import (
     MonomialKernel,
     PolynomialKernel,
     TabulatedKernel,
-    holder_margin,
 )
 from .lift import (
     LiftedKernel,
     gamma_table,
     lift_from_coefficients,
-    lift_kernel,
     operator_norm_bound,
 )
 from .mittag_leffler import Z_MAX, mittag_leffler
@@ -105,10 +103,8 @@ __all__ = [
     "evaluate_J_mc",
     "gamma_table",
     "gaussian_increments",
-    "holder_margin",
     "lift_for_problem",
     "lift_from_coefficients",
-    "lift_kernel",
     "lq_oracle",
     "mittag_leffler",
     "monomial_closed_form",

@@ -1,12 +1,13 @@
 """Batch command-line front end.
 
 Commands read one INI config (see voctrl.config), apply flag overrides, and
-write CSV/JSON artifacts into the output directory.  Runs are deterministic
-given the config, including seeds, so re-runs are byte-identical.  The
-VOC_THREADS environment variable bounds the threads that draw simulation
-noise (default: the usable CPUs) without changing any output.  With
-``M = auto`` each degree's K_n is built once and serves both the choice of M
-and the control; simulation and the objective stay on the original kernel.
+write CSV/JSON artifacts into the output directory; ``--m`` is read by the
+config's own ``[lift] M`` entry.  Runs are deterministic given the config,
+including seeds, so re-runs are byte-identical.  VOC_THREADS, the only thread
+setting, bounds the threads that draw simulation noise (default: the usable
+CPUs) without changing any output.  ``_control`` builds each degree's K_n
+once for both the choice of M and the control; simulation and the objective
+stay on the original kernel.
 
 Exit codes: 0 success, 2 config error, 3 numeric-range error, 4 simulation
 error.
@@ -20,8 +21,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bernstein import bernstein_kernel, uniform_error_report
-from .config import RunConfig, load_config, with_overrides
+from .bernstein import BernsteinKernel, bernstein_kernel, uniform_error_report
+from .config import RunConfig, load_config, parse_setting, split_list, with_overrides
 from .control import (
     choose_M,
     lift_for_problem,
@@ -48,9 +49,12 @@ def _write_csv(path: Path, header, columns):
 
 
 def _write_json(path: Path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Strict sorted JSON, serialized first: a failure leaves no partial file."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericRangeError(f"{path}: {exc}") from None
+    path.write_text(text + "\n")
 
 
 def _finite_or_none(x: float):
@@ -65,22 +69,24 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _on_kn(problem, n: int):
-    """The problem posed on K_n, built once: the lifts in ``_resolve_M`` and
-    ``optimal_control_poly`` then take it exactly from its coefficients."""
-    if isinstance(problem.kernel, PolynomialKernel):
+    """The problem posed on K_n, built once; a problem whose kernel already is
+    a polynomial is its own K_n."""
+    if isinstance(problem.kernel, (PolynomialKernel, BernsteinKernel)):
         return problem
     return dataclasses.replace(problem, kernel=bernstein_kernel(problem.kernel, n))
 
 
-def _resolve_M(cfg: RunConfig, problem, n: int) -> int:
-    if not cfg.m_auto:
-        return int(cfg.M)
-    return choose_M(lift_for_problem(problem, n), problem.T, cfg.tol)
+def _control(cfg: RunConfig, problem, n: int):
+    """The degree-n control at the configured M, or at the M that ``choose_M``
+    picks for ``cfg.tol`` when M is auto; both lifts take K_n exactly."""
+    kn = _on_kn(problem, n)
+    M = choose_M(lift_for_problem(kn, n), kn.T, cfg.tol) if cfg.M is None else cfg.M
+    return optimal_control_poly(kn, n, M)
 
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        ns = [int(p) for chunk in text.split(",") for p in chunk.split()]
+        ns = [int(p) for p in split_list(text)]
     except ValueError as exc:
         raise ConfigError(f"could not parse degree list {text!r}") from exc
     if not ns:
@@ -106,8 +112,7 @@ def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
     written = []
     multi = len(ns) > 1
     for n in ns:
-        kn = _on_kn(problem, n)
-        cp = optimal_control_poly(kn, n, _resolve_M(cfg, kn, n))
+        cp = _control(cfg, problem, n)
         vf = value_function(problem, cp)
         stem = f"control_n{n}" if multi else "control"
         csv_path = out / f"{stem}.csv"
@@ -132,10 +137,11 @@ def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
+    if cfg.n_paths < 2:  # var_XT is a sample variance
+        raise ConfigError(f"simulate needs n_paths >= 2, got {cfg.n_paths}")
     problem = cfg.problem()
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
-    kn = _on_kn(problem, cfg.n)
-    cp = optimal_control_poly(kn, cfg.n, _resolve_M(cfg, kn, cfg.n))
+    cp = _control(cfg, problem, cfg.n)
     out = _out_dir(cfg)
     written = []
     summary = {"n_paths": cfg.n_paths, "seed": cfg.seed}
@@ -167,8 +173,7 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
              if isinstance(problem.kernel, MonomialKernel) else None)
     rows = []
     for n in n_values:
-        kn = _on_kn(problem, n)
-        cp = optimal_control_poly(kn, n, _resolve_M(cfg, kn, n))
+        cp = _control(cfg, problem, n)
         j_hat = evaluate_J_deterministic(problem, cp, grid).j_estimate
         gap = oracle.j_opt - j_hat
         # gap against the discretized optimum of the original-kernel problem;
@@ -189,7 +194,7 @@ def cmd_oracle(cfg: RunConfig) -> list[Path]:
     # polynomial-kernel program the lift solves
     problem = _on_kn(cfg.problem(), cfg.n)
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
-    cp = optimal_control_poly(problem, cfg.n, _resolve_M(cfg, problem, cfg.n))
+    cp = _control(cfg, problem, cfg.n)
     oracle = lq_oracle(problem, grid)
     uh = cp(grid.nodes)
     diff = np.abs(oracle.u_values - uh)
@@ -240,8 +245,8 @@ def kernel_approx_command(cfg, n, grid_points):
 def control_command(cfg, n_text, m_text, tol):
     """Compute the near-optimal control polynomial and its predicted objective."""
     cfg = with_overrides(cfg, tol=tol)
-    if m_text is not None:
-        cfg = dataclasses.replace(cfg, M=None if m_text.strip().lower() == "auto" else int(m_text))
+    if m_text is not None:  # not through with_overrides: None means auto here
+        cfg = dataclasses.replace(cfg, M=parse_setting("lift", "M", m_text, "--m")[1])
     for path in cmd_control(cfg, _parse_n_list(n_text) if n_text else [cfg.n]):
         click.echo(str(path))
 

@@ -1,19 +1,16 @@
 """Run configuration: a flat INI file mirrored into a dataclass.
 
-Sections and keys:
-
-    [problem]  alpha beta sigma a1 a2 x0 T
-    [kernel]   family params holder_h holder_H times values
-    [lift]     n M tol          (M may be "auto"; tol feeds the auto rule)
-    [grid]     dt
-    [mc]       n_paths seed
-    [output]   dir
+One table, ``_KEYS``, maps each section and key to its ``RunConfig`` field
+and value parser; ``--m`` goes through the same entry.  An unknown section
+or key, or a value that does not parse, is a ``ConfigError`` naming the
+file, the section and the key; a key left out keeps its ``RunConfig``
+default.  CLI flags override any of these.
 
 ``params`` is a whitespace- or comma-separated number list whose meaning
 depends on the family: monomial takes the degree, fractional the exponent,
 gamma takes rate and exponent, polynomial the coefficient list; tabulated
-kernels use the ``times``/``values`` keys instead.  CLI flags override any
-of these.
+kernels use the ``times``/``values`` keys instead.  ``[lift] M`` may be
+``auto``: ``choose_M`` then picks it for ``tol``.
 """
 
 import configparser
@@ -47,16 +44,12 @@ class RunConfig:
     times: tuple[float, ...] = ()
     values: tuple[float, ...] = ()
     n: int = 20
-    M: int | None = 50
+    M: int | None = 50  # None: choose M from tol
     tol: float = 1e-6
     dt: float = 0.05
     n_paths: int = 1000
     seed: int = 20240901
     output_dir: str = "."
-
-    @property
-    def m_auto(self) -> bool:
-        return self.M is None
 
     def kernel(self) -> Kernel:
         return build_kernel(self)
@@ -78,30 +71,46 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
+def split_list(text: str) -> list[str]:
+    """The items of a whitespace- or comma-separated list."""
+    return [p for chunk in text.split(",") for p in chunk.split()]
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in split_list(text))
+
+
+def _truncation_order(text: str) -> int | None:
+    return None if text.strip().lower() == "auto" else int(text)
+
+
+# INI section -> key -> (RunConfig field, parser of the value text); the one
+# place a setting is read, from the file and from the flags alike
+_KEYS = {
+    "problem": {k: (k, float) for k in ("alpha", "beta", "sigma", "a1", "a2", "x0", "T")},
+    "kernel": {"family": ("family", lambda text: text.strip().lower()),
+               "params": ("params", _floats), "holder_h": ("holder_h", float),
+               "holder_H": ("holder_H", float), "times": ("times", _floats),
+               "values": ("values", _floats)},
+    "lift": {"n": ("n", int), "M": ("M", _truncation_order), "tol": ("tol", float)},
+    "grid": {"dt": ("dt", float)},
+    "mc": {"n_paths": ("n_paths", int), "seed": ("seed", int)},
+    "output": {"dir": ("output_dir", str)},
+}
+
+
+def parse_setting(section: str, key: str, text: str, origin: str) -> tuple[str, object]:
+    """The RunConfig field ``key = text`` in ``[section]`` sets, and its value;
+    ``origin`` names where the text came from in any error."""
+    keys = _KEYS[section]
+    if key not in keys:
+        raise ConfigError(f"{origin}: unknown key {key!r} in [{section}]; "
+                          f"expected one of {', '.join(keys)}")
+    field, parse = keys[key]
     try:
-        return tuple(float(p) for p in parts)
+        return field, parse(text)
     except ValueError as exc:
-        raise ConfigError(f"could not parse number list {text!r}") from exc
-
-
-def _get_float(section, key, default):
-    if section is None or key not in section:
-        return default
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {section[key]!r}") from exc
-
-
-def _get_int(section, key, default):
-    if section is None or key not in section:
-        return default
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected an integer, got {section[key]!r}") from exc
+        raise ConfigError(f"{origin}: [{section}] {key} = {text!r} does not parse: {exc}") from None
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -109,46 +118,21 @@ def load_config(path: str | Path | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
+    # no default section: a [DEFAULT] header is an unknown section like any other
+    parser = configparser.ConfigParser(default_section="")
     parser.optionxform = str  # holder_h vs holder_H must stay distinct
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigError(f"config file {path} not found or unreadable")
-
-    prob = parser["problem"] if parser.has_section("problem") else None
-    for key in ("alpha", "beta", "sigma", "a1", "a2", "x0", "T"):
-        setattr(cfg, key, _get_float(prob, key, getattr(cfg, key)))
-
-    if parser.has_section("kernel"):
-        ker = parser["kernel"]
-        cfg.family = ker.get("family", "").strip().lower()
-        if "params" in ker:
-            cfg.params = _parse_floats(ker["params"])
-        cfg.holder_h = _get_float(ker, "holder_h", None)
-        cfg.holder_H = _get_float(ker, "holder_H", None)
-        if "times" in ker:
-            cfg.times = _parse_floats(ker["times"])
-        if "values" in ker:
-            cfg.values = _parse_floats(ker["values"])
-        cfg.T = _get_float(ker, "T", cfg.T)
-
-    lift = parser["lift"] if parser.has_section("lift") else None
-    if lift is not None:
-        cfg.n = _get_int(lift, "n", cfg.n)
-        if "M" in lift:
-            raw = lift["M"].strip().lower()
-            cfg.M = None if raw == "auto" else _get_int(lift, "M", cfg.M)
-        cfg.tol = _get_float(lift, "tol", cfg.tol)
-
-    grid = parser["grid"] if parser.has_section("grid") else None
-    cfg.dt = _get_float(grid, "dt", cfg.dt)
-
-    mc = parser["mc"] if parser.has_section("mc") else None
-    cfg.n_paths = _get_int(mc, "n_paths", cfg.n_paths)
-    cfg.seed = _get_int(mc, "seed", cfg.seed)
-
-    if parser.has_section("output"):
-        cfg.output_dir = parser["output"].get("dir", cfg.output_dir)
+    try:
+        if not parser.read(str(path)):
+            raise ConfigError(f"config file {path} not found or unreadable")
+        for section in parser.sections():
+            if section not in _KEYS:
+                raise ConfigError(f"{path}: unknown section [{section}]; expected one of "
+                                  f"{', '.join(f'[{s}]' for s in _KEYS)}")
+            for key, text in parser[section].items():
+                field, value = parse_setting(section, key, text, str(path))
+                setattr(cfg, field, value)
+    except configparser.Error as exc:  # malformed file or interpolation
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -158,8 +142,9 @@ def build_kernel(cfg: RunConfig) -> Kernel:
     meta = {"holder_h": cfg.holder_h, "holder_H": cfg.holder_H}
     try:
         if fam == "monomial":
-            if len(cfg.params) != 1:
-                raise ConfigError("monomial kernel needs one parameter: the degree")
+            if len(cfg.params) != 1 or not float(cfg.params[0]).is_integer():
+                raise ConfigError("monomial kernel needs one parameter, a whole-number degree; "
+                                  f"got {cfg.params}")
             return MonomialKernel(T=cfg.T, degree=int(cfg.params[0]), **meta)
         if fam == "fractional":
             if len(cfg.params) != 1:

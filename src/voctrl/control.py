@@ -32,13 +32,7 @@ import numpy as np
 from .bernstein import BernsteinKernel, bernstein_kernel
 from .errors import DomainError, NumericRangeError
 from .kernels import Kernel, MonomialKernel, PolynomialKernel, _check_time
-from .lift import (
-    LiftedKernel,
-    gamma_table,
-    lift_from_coefficients,
-    lift_kernel,
-    operator_norm_bound,
-)
+from .lift import LiftedKernel, gamma_table, lift_from_coefficients, operator_norm_bound
 from .mittag_leffler import mittag_leffler
 
 #: hard cap for automatic truncation-order selection.
@@ -140,7 +134,7 @@ def lift_for_problem(problem: ControlProblem, n: int) -> LiftedKernel:
         return lift_from_coefficients(kernel.coeffs, problem.beta)
     if not isinstance(kernel, BernsteinKernel):
         kernel = bernstein_kernel(kernel, n)
-    return lift_kernel(kernel, problem.beta)
+    return lift_from_coefficients(kernel.kappa, problem.beta)
 
 
 def _over_factorial(x: float, k: int) -> float:

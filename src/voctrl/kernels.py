@@ -222,17 +222,3 @@ class TabulatedKernel(Kernel):
     def _value(self, t):
         return np.interp(t, self.times, self.values)
 
-
-def holder_margin(kernel: Kernel, grid_points: int = 200) -> float:
-    """Worst slack of the sampled Holder inequality on a uniform grid.
-
-    Returns min over grid pairs of H*|t-s|**h - |K(t)-K(s)|; nonnegative
-    means the metadata is consistent with the sampled kernel.
-    """
-    h, H = kernel.holder_metadata()
-    ts = np.linspace(0.0, kernel.T, grid_points)
-    vals = kernel(ts)
-    dv = np.abs(vals[:, None] - vals[None, :])
-    dt = np.abs(ts[:, None] - ts[None, :])
-    mask = ~np.eye(grid_points, dtype=bool)
-    return float((H * dt[mask] ** h - dv[mask]).min())

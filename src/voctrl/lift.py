@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BernsteinKernel
 from .errors import NumericRangeError
 
 
@@ -55,11 +54,6 @@ def lift_from_coefficients(kappa, beta: float) -> LiftedKernel:
     if not np.all(np.isfinite(g)):
         raise NumericRangeError("lift coefficients overflow")
     return LiftedKernel(g=g, beta=float(beta))
-
-
-def lift_kernel(bk: BernsteinKernel, beta: float) -> LiftedKernel:
-    """Lift a Bernstein-approximated kernel."""
-    return lift_from_coefficients(bk.kappa, beta)
 
 
 def gamma_table(lk: LiftedKernel, M: int) -> np.ndarray:

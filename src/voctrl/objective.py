@@ -47,20 +47,14 @@ def evaluate_J_deterministic(problem: ControlProblem, control, grid: TimeGrid) -
     return ObjectiveReport(j_estimate=j, std_error=0.0, method="deterministic")
 
 
-def evaluate_J_mc(
-    problem: ControlProblem,
-    control,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    workers: int | None = None,
-) -> ObjectiveReport:
+def evaluate_J_mc(problem: ControlProblem, control, grid: TimeGrid, n_paths: int,
+                  seed: int) -> ObjectiveReport:
     """Monte-Carlo J estimate with the standard error of the terminal mean."""
     if n_paths < 2:
         raise NumericRangeError(f"n_paths must be >= 2, got {n_paths}")
     u = _control_values(control, grid.nodes)
     w = _trapezoid_weights(grid.n_steps, grid.dt)
-    batch = simulate_paths(problem, control, grid, n_paths, seed, workers=workers)
+    batch = simulate_paths(problem, control, grid, n_paths, seed)
     xT = batch.paths[:, -1]
     j = -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * float(xT.mean())
     se = problem.a2 * float(xT.std(ddof=1)) / np.sqrt(n_paths)

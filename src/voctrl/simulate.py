@@ -17,8 +17,9 @@ owning counter blocks [p*bpp, (p+1)*bpp) where bpp = ceil(n_steps / 4)
 pure function of (seed, path, step), and any range of paths can be drawn on
 its own by advancing the stream to it.  ``gaussian_increments`` splits the
 paths into fixed ``_BLOCK_PATHS`` chunks and draws them on a thread pool
-(``random_raw`` and ``ndtri`` release the GIL); each chunk pulls its words
-512 paths at a time, so the full word array is never held.
+(``random_raw`` and ``ndtri`` release the GIL) of ``VOC_THREADS`` threads,
+the only thread setting, by default as many as the usable CPUs; each chunk
+pulls its words 512 paths at a time, so the full word array is never held.
 
 State and forcing are stored time-major (steps x paths).  ``simulate_paths``
 writes the increments straight into rows 1..N of the path array, then runs
@@ -30,7 +31,7 @@ table, and recurses into the second half; short ranges go one GEMV per step.
 When beta == 0 the forcing does not depend on the state and the whole
 strictly-lower triangle is one GEMM.  The path count is padded to a multiple
 of ``_PAD`` with extra Philox paths, dropped afterwards: every real path sees
-the same BLAS tiling, so its values are bit-identical whatever the worker
+the same BLAS tiling, so its values are bit-identical whatever the thread
 count or ``n_paths``.
 
 The deterministic mean, and the LQ oracle in ``objective``, solve linear
@@ -56,7 +57,7 @@ DEFAULT_BACKEND = "numpy"
 
 _MASK64 = (1 << 64) - 1
 _PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
-_BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the workers
+_BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the threads
 _DRAW_PATHS = 512  # paths per Philox draw: the words of one draw stay in cache
 _LEAF_STEPS = 16  # step ranges this short go one GEMV per step
 
@@ -114,14 +115,8 @@ def _fill_noise(u: np.ndarray, seed: int, first_path: int, dt: float) -> None:
     u *= math.sqrt(dt)
 
 
-def gaussian_increments(
-    seed: int,
-    n_paths: int,
-    n_steps: int,
-    dt: float,
-    workers: int | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Increment matrix dW ~ Normal(0, dt), shape (n_paths, n_steps).
 
     Philox counter addressing as described in the module docstring; the
@@ -129,9 +124,9 @@ def gaussian_increments(
     normal quantile function.  The result is stored step-major: it is the
     transpose of a C-contiguous (n_steps, n_paths) array, or of ``out`` when
     given (a float64 array of that shape, rows may be strided), which is
-    filled in place.  ``workers`` bounds the threads that draw the fixed
-    ``_BLOCK_PATHS`` chunks (default: VOC_THREADS, else the usable CPUs); the
-    values never depend on it.
+    filled in place.  The fixed ``_BLOCK_PATHS`` chunks are drawn on
+    ``VOC_THREADS`` threads, else as many as the usable CPUs; the values never
+    depend on the count.
     """
     if out is None:
         out = np.empty((n_steps, n_paths))
@@ -143,7 +138,7 @@ def gaussian_increments(
     def fill(a):
         _fill_noise(out[:, a : a + _BLOCK_PATHS], seed, a, dt)
 
-    workers = min(_resolve_workers(workers), len(starts))
+    workers = min(_resolve_workers(), len(starts))
     if workers <= 1:
         for a in starts:
             fill(a)
@@ -153,9 +148,7 @@ def gaussian_increments(
     return out.T
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
+def _resolve_workers() -> int:
     env = os.environ.get("VOC_THREADS", "")
     try:
         return max(1, int(env)) if env else _usable_cpus()
@@ -271,20 +264,12 @@ def _simulate_block(X, rk, drift, sigma, x0, beta_dt):
         _fill(X, G, rk, beta_dt, 0, n_steps)
 
 
-def simulate_paths(
-    problem: ControlProblem,
-    control,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    workers: int | None = None,
-) -> PathBatch:
+def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: int,
+                   seed: int) -> PathBatch:
     """Simulate n_paths goodwill trajectories under a deterministic control.
 
-    ``workers`` bounds the threads that draw the noise (default: the
-    VOC_THREADS environment variable, else the usable CPUs); it never changes
-    the result.  ``paths`` of the returned batch is a transposed view of the
-    time-major (steps x paths) storage.
+    ``paths`` of the returned batch is a transposed view of the time-major
+    (steps x paths) storage.
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
@@ -295,7 +280,7 @@ def simulate_paths(
     rk = np.concatenate((ktab[:0:-1], np.zeros(n_steps)))
     n_padded = -(-n_paths // _PAD) * _PAD
     X = np.empty((n_steps + 1, n_padded))
-    gaussian_increments(seed, n_padded, n_steps, dt, workers, out=X[1:])
+    gaussian_increments(seed, n_padded, n_steps, dt, out=X[1:])
     drift = (problem.alpha * dt * ctl)[:, None]
     for a in range(0, n_padded, _BLOCK_PATHS):
         Xb = X[:, a : a + _BLOCK_PATHS]

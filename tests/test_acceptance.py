@@ -38,7 +38,7 @@ from voctrl.lift import operator_norm_bound
 
 from .conftest import make_problem
 
-WORKERS = 2
+WORKERS = 2  # noise threads for the Monte-Carlo checks, set through VOC_THREADS
 
 
 def _report(index, name, ok, detail, elapsed):
@@ -181,7 +181,8 @@ def test_5_oracle_cross_validation():
     assert elapsed < 60.0
 
 
-def test_6_value_function_consistency():
+def test_6_value_function_consistency(monkeypatch):
+    monkeypatch.setenv("VOC_THREADS", str(WORKERS))
     t0 = time.perf_counter()
     grid = TimeGrid(T=2.0, dt=0.005)
     worst_det = 0.0
@@ -194,7 +195,7 @@ def test_6_value_function_consistency():
         oracle = lq_oracle(lifted, grid)
         worst_det = max(worst_det, abs(predicted - oracle.j_opt))
         assert abs(predicted - oracle.j_opt) <= 1e-3, (type(kernel).__name__, alpha, beta)
-        mc = evaluate_J_mc(lifted, cp, grid, 100_000, seed=52000 + idx, workers=WORKERS)
+        mc = evaluate_J_mc(lifted, cp, grid, 100_000, seed=52000 + idx)
         sigmas = abs(mc.j_estimate - predicted) / mc.std_error
         worst_mc_sigmas = max(worst_mc_sigmas, sigmas)
         assert sigmas <= 3.0, (type(kernel).__name__, alpha, beta, sigmas)
@@ -233,7 +234,8 @@ def test_7_gamma_recursion_matrix_oracle():
             f"20 random lifts, worst entry error {worst:.1e}", elapsed)
 
 
-def test_8_simulator_statistics():
+def test_8_simulator_statistics(monkeypatch):
+    monkeypatch.setenv("VOC_THREADS", str(WORKERS))
     t0 = time.perf_counter()
     # terminal variance against the Ito isometry integral T^(2N+1)/(2N+1)
     grid = TimeGrid(T=2.0, dt=0.0025)
@@ -241,8 +243,7 @@ def test_8_simulator_statistics():
     var_devs = []
     for degree in (0, 1, 2):
         problem = make_problem(MonomialKernel(T=2.0, degree=degree), beta=0.0, sigma=1.0, x0=0.0)
-        batch = simulate_paths(problem, lambda t: 0.0, grid, n_paths, seed=5150 + degree,
-                               workers=WORKERS)
+        batch = simulate_paths(problem, lambda t: 0.0, grid, n_paths, seed=5150 + degree)
         target = 2.0 ** (2 * degree + 1) / (2 * degree + 1)
         se = target * math.sqrt(2.0 / (n_paths - 1))
         dev = abs(batch.paths[:, -1].var(ddof=1) - target) / se
@@ -255,7 +256,7 @@ def test_8_simulator_statistics():
     for idx, (kernel, alpha, beta) in enumerate(_example_configs()):
         problem = make_problem(kernel, alpha=alpha, beta=beta, sigma=1.0, x0=0.0)
         cp = optimal_control_poly(problem, 20, 50)
-        batch = simulate_paths(problem, cp, mean_grid, 10_000, seed=7200 + idx, workers=WORKERS)
+        batch = simulate_paths(problem, cp, mean_grid, 10_000, seed=7200 + idx)
         m = deterministic_mean(problem, cp, mean_grid)
         xT = batch.paths[:, -1]
         se = xT.std(ddof=1) / math.sqrt(len(xT))

@@ -76,6 +76,13 @@ def test_missing_metadata_is_config_error(tmp_path):
     assert main(["--config", str(cfg), "kernel-approx"]) == 2
 
 
+def test_fractional_monomial_degree_is_config_error(tmp_path, capsys):
+    # the degree is not rounded down to a kernel nobody asked for
+    cfg, _ = write_config(tmp_path, family="monomial", params="2.5")
+    assert main(["--config", str(cfg), "control"]) == 2
+    assert "2.5" in capsys.readouterr().err
+
+
 def test_unknown_family_is_config_error(tmp_path):
     cfg, _ = write_config(tmp_path, family="spline")
     assert main(["--config", str(cfg), "control"]) == 2
@@ -132,17 +139,60 @@ def test_every_written_json_is_strict_json(tmp_path):
 
 def test_control_auto_truncation_order(tmp_path):
     # the tail bound decays like 1/(M+1), so automatic selection only works
-    # for modest horizon-times-norm products; T = 1 keeps it reachable
+    # for modest horizon-times-norm products; T = 1 keeps it reachable.
+    # "auto" is read by the one [lift] M entry, from the file and from --m
     config = BASE.replace("T = 2.0", "T = 1.0")
-    cfg = tmp_path / "run.ini"
-    out = tmp_path / "out"
-    cfg.write_text(config.format(family="monomial", params="1", extra="", n=2,
-                                 M="auto", dt=0.05, n_paths=4, out=out))
-    assert main(["--config", str(cfg), "control", "--tol", "0.1"]) == 0
-    meta = json.loads((out / "control.json").read_text())
+    metas = []
+    for M, flags in (("auto", []), ("AUTO", []), (5, ["--m", "auto"])):
+        cfg = tmp_path / "run.ini"
+        out = tmp_path / f"out_{M}"
+        cfg.write_text(config.format(family="monomial", params="1", extra="", n=2,
+                                     M=M, dt=0.05, n_paths=4, out=out))
+        assert main(["--config", str(cfg), "control", "--tol", "0.1", *flags]) == 0
+        metas.append(json.loads((out / "control.json").read_text()))
+    meta = metas[0]
+    assert metas[1] == meta and metas[2] == meta
     # the emitted bound is the scaled tail estimate at the chosen order
-    assert meta["bound_valid"] is True
+    assert meta["bound_valid"] is True and meta["M"] != 5
     assert meta["trunc_bound"] <= 0.5 * 0.1
+
+
+def test_control_m_that_does_not_parse_is_config_error(tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    assert main(["--config", str(cfg), "control", "--m", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "'abc'" in err and "--m" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (("n_paths = 20", "n_path = 20"), "'n_path'"),
+    (("[lift]", "[lfit]"), "[lfit]"),
+    (("params = 0.3", "params = 0.3\nT = 1.0"), "'T'"),
+    (("[problem]", "[DEFAULT]\nT = 1.0\n\n[problem]"), "[DEFAULT]"),
+], ids=["mc-n_path", "lfit", "kernel-T", "DEFAULT"])
+def test_unknown_section_or_key_is_config_error(tmp_path, capsys, edit, named):
+    cfg, out = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(*edit))
+    assert main(["--config", str(cfg), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and str(cfg) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (("dt = 0.05", "dt = fast"), "[grid] dt = 'fast'"),
+    (("n = 10", "n = 2.5"), "[lift] n = '2.5'"),
+    (("params = 0.3", "params = 0.3, x"), "[kernel] params = '0.3, x'"),
+    (("[grid]", "[grid\n"), "line"),
+    (("dir = ", "dir = 100%/"), "'%'"),
+], ids=["float", "int", "list", "malformed", "interpolation"])
+def test_value_that_does_not_parse_is_config_error(tmp_path, capsys, edit, named):
+    cfg, _ = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(*edit))
+    assert main(["--config", str(cfg), "control"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and str(cfg) in err
 
 
 def test_control_degree_list_reproduces_reference(tmp_path):
@@ -191,6 +241,24 @@ def test_simulate_outputs_and_reruns_are_byte_identical(tmp_path):
     rows = (out / "paths_controlled.csv").read_text().splitlines()
     assert rows[0] == "t,path_1,path_2,path_3,path_4,path_5"
     assert len(rows) == 22
+
+
+@pytest.mark.parametrize("argv", [[], ["--n-paths", "1"]], ids=["file", "flag"])
+def test_simulate_needs_two_paths(tmp_path, capsys, argv):
+    # var_XT is a sample variance: one path is rejected before anything is written
+    cfg, out = write_config(tmp_path, n_paths=1 if not argv else 20, dt=0.1)
+    assert main(["--config", str(cfg), "simulate", *argv]) == 2
+    assert "n_paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_that_cannot_hold_a_value_leaves_no_file(tmp_path):
+    from voctrl.cli import _write_json
+
+    path = tmp_path / "summary.json"
+    with pytest.raises(voctrl.NumericRangeError, match="summary.json"):
+        _write_json(path, {"ok": 1.0, "var": float("nan")})
+    assert not path.exists()
 
 
 def test_simulate_zero_noise_tracks_mean(tmp_path):

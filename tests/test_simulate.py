@@ -97,17 +97,26 @@ def three_chunk_reference():
     return seed, n_paths, n_steps, dt, ref
 
 
+def set_threads(monkeypatch, workers):
+    """VOC_THREADS = workers, or unset for None (then the usable CPUs)."""
+    if workers is None:
+        monkeypatch.delenv("VOC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("VOC_THREADS", str(workers))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, None])
 def test_increment_chunks_match_per_path_reference(workers, three_chunk_reference, monkeypatch):
     seed, n_paths, n_steps, dt, ref = three_chunk_reference
-    monkeypatch.delenv("VOC_THREADS", raising=False)
-    assert np.array_equal(gaussian_increments(seed, n_paths, n_steps, dt, workers=workers), ref)
+    set_threads(monkeypatch, workers)
+    assert np.array_equal(gaussian_increments(seed, n_paths, n_steps, dt), ref)
 
 
-def test_increments_fill_a_strided_out_in_place(three_chunk_reference):
+def test_increments_fill_a_strided_out_in_place(three_chunk_reference, monkeypatch):
     seed, n_paths, n_steps, dt, ref = three_chunk_reference
     X = np.zeros((n_steps + 1, n_paths + 3))
-    dw = gaussian_increments(seed, n_paths, n_steps, dt, workers=2, out=X[1:, :n_paths])
+    set_threads(monkeypatch, 2)
+    dw = gaussian_increments(seed, n_paths, n_steps, dt, out=X[1:, :n_paths])
     assert np.shares_memory(dw, X)
     assert np.array_equal(X[1:, :n_paths].T, ref)
     assert not X[0].any() and not X[:, n_paths:].any()
@@ -184,13 +193,15 @@ def test_reruns_are_bit_identical(fractional_kernel):
 
 
 @pytest.mark.parametrize("workers", [2, 3, 5])
-def test_worker_count_does_not_change_results(workers, fractional_kernel):
+def test_worker_count_does_not_change_results(workers, fractional_kernel, monkeypatch):
     # 9000 paths make three path blocks, so every worker count fans out
     problem = make_problem(fractional_kernel)
     cp = optimal_control_poly(problem, 10, 30)
     grid = TimeGrid(T=2.0, dt=0.05)
-    serial = simulate_paths(problem, cp, grid, 9000, seed=3, workers=1)
-    fanned = simulate_paths(problem, cp, grid, 9000, seed=3, workers=workers)
+    set_threads(monkeypatch, 1)
+    serial = simulate_paths(problem, cp, grid, 9000, seed=3)
+    set_threads(monkeypatch, workers)
+    fanned = simulate_paths(problem, cp, grid, 9000, seed=3)
     assert np.array_equal(serial.paths, fanned.paths)
 
 
@@ -204,9 +215,10 @@ def long_run(request):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n_paths", [1, 17, 64, 65, 4097])
-def test_paths_do_not_depend_on_path_count(n_paths, workers, long_run):
+def test_paths_do_not_depend_on_path_count(n_paths, workers, long_run, monkeypatch):
     problem, cp, grid, long = long_run
-    short = simulate_paths(problem, cp, grid, n_paths, seed=13, workers=workers).paths
+    set_threads(monkeypatch, workers)
+    short = simulate_paths(problem, cp, grid, n_paths, seed=13).paths
     assert np.array_equal(short, long[:n_paths])
 
 
