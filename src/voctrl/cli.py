@@ -91,6 +91,9 @@ def _parse_n_list(text: str) -> list[int]:
         raise ConfigError(f"could not parse degree list {text!r}") from exc
     if not ns:
         raise ConfigError(f"degree list {text!r} names no degree")
+    repeated = sorted({n for n in ns if ns.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"degree list {text!r} repeats degree {', '.join(map(str, repeated))}")
     return ns
 
 

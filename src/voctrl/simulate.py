@@ -11,15 +11,21 @@ Brownian increment:
     X_i = x0 + sum_{j<i} K(t_i - t_j) g_j,
     g_j = (alpha u_j - beta X_j) dt + sigma dW_j.
 
-Noise is counter-based: one Philox stream keyed by the seed, with path p
-owning counter blocks [p*bpp, (p+1)*bpp) where bpp = ceil(n_steps / 4)
-(Philox emits 4 words per block).  The word for (path, step) is therefore a
-pure function of (seed, path, step), and any range of paths can be drawn on
-its own by advancing the stream to it.  ``gaussian_increments`` splits the
-paths into fixed ``_BLOCK_PATHS`` chunks and draws them on a thread pool
-(``random_raw`` and ``ndtri`` release the GIL) of ``VOC_THREADS`` threads,
-the only thread setting, by default as many as the usable CPUs; each chunk
-pulls its words 512 paths at a time, so the full word array is never held.
+Noise comes in fixed chunks of ``_BLOCK_PATHS`` paths, and each chunk has
+its own stream: Philox keyed by the seed, with the chunk index in the top
+word of the 256-bit counter, so chunk c starts c * 2**192 blocks into the
+seed's counter space and no two chunks can overlap.  A chunk draws its paths
+in order, n_steps standard normals each (numpy's ziggurat), so path p is a
+pure function of (seed, p // _BLOCK_PATHS, p mod _BLOCK_PATHS): it depends
+neither on the thread count nor on n_paths.  The ziggurat takes a variable
+number of words per value, so a path cannot be drawn without the ones before
+it in its chunk.  ``gaussian_increments`` draws the chunks on a thread pool
+(the draws release the GIL) of ``VOC_THREADS`` threads, the only thread
+setting, by default as many as the usable CPUs; each chunk draws 512 paths at
+a time into one reused buffer, so no chunk-sized temporary is ever held.
+Re-runs under one numpy build are byte-identical.  Across numpy versions
+they need not be: NEP 19 does not promise ``Generator`` distribution streams
+across versions, and ``tests/test_simulate.py`` pins a digest to notice.
 
 State and forcing are stored time-major (steps x paths).  ``simulate_paths``
 writes the increments straight into rows 1..N of the path array, then runs
@@ -30,9 +36,9 @@ effect on the second half as one GEMM against a Toeplitz block of the kernel
 table, and recurses into the second half; short ranges go one GEMV per step.
 When beta == 0 the forcing does not depend on the state and the whole
 strictly-lower triangle is one GEMM.  The path count is padded to a multiple
-of ``_PAD`` with extra Philox paths, dropped afterwards: every real path sees
-the same BLAS tiling, so its values are bit-identical whatever the thread
-count or ``n_paths``.
+of ``_PAD`` with extra paths of the last chunk, dropped afterwards: every
+real path sees the same BLAS tiling, so its values are bit-identical
+whatever the thread count or ``n_paths``.
 
 The deterministic mean, and the LQ oracle in ``objective``, solve linear
 Volterra equations of the second kind with one trapezoidal product-quadrature
@@ -47,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import ndtri
 
 from .control import ControlProblem
 from .errors import ConfigError, DomainError, NumericRangeError, SimulationError
@@ -58,7 +63,7 @@ DEFAULT_BACKEND = "numpy"
 _MASK64 = (1 << 64) - 1
 _PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
 _BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the threads
-_DRAW_PATHS = 512  # paths per Philox draw: the words of one draw stay in cache
+_DRAW_PATHS = 512  # paths per draw: one draw's buffer stays in cache
 _LEAF_STEPS = 16  # step ranges this short go one GEMV per step
 
 
@@ -99,34 +104,34 @@ class PathBatch:
 
 def _fill_noise(u: np.ndarray, seed: int, first_path: int, dt: float) -> None:
     """Increments of paths first_path, first_path + 1, ... into the step-major
-    column block ``u`` (n_steps x paths), in place."""
+    column block ``u`` (n_steps x paths), in place.
+
+    ``first_path`` starts a chunk: a multiple of ``_BLOCK_PATHS``.  The chunk's
+    own stream is drawn path-major, ``_DRAW_PATHS`` paths at a time into one
+    reused buffer, and copied transposed and scaled into ``u``.
+    """
     n_steps, n_paths = u.shape
-    bpp = max(1, -(-n_steps // 4))
-    bg = np.random.Philox(key=seed & _MASK64)
-    bg.advance(bpp * first_path)
+    chunk = first_path // _BLOCK_PATHS
+    gen = np.random.Generator(np.random.Philox(key=seed & _MASK64, counter=[0, 0, 0, chunk]))
+    buf = np.empty((min(_DRAW_PATHS, n_paths), n_steps))
+    scale = math.sqrt(dt)
     for a in range(0, n_paths, _DRAW_PATHS):
         k = min(_DRAW_PATHS, n_paths - a)
-        words = bg.random_raw(4 * bpp * k)
-        words >>= np.uint64(11)
-        u[:, a : a + k] = words.reshape(k, 4 * bpp)[:, :n_steps].T
-    u += 0.5
-    u *= 2.0**-53
-    ndtri(u, out=u)
-    u *= math.sqrt(dt)
+        gen.standard_normal(out=buf[:k])
+        np.multiply(buf[:k].T, scale, out=u[:, a : a + k])
 
 
 def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Increment matrix dW ~ Normal(0, dt), shape (n_paths, n_steps).
 
-    Philox counter addressing as described in the module docstring; the
-    uniform for each word w is ((w >> 11) + 0.5) * 2**-53, mapped through the
-    normal quantile function.  The result is stored step-major: it is the
-    transpose of a C-contiguous (n_steps, n_paths) array, or of ``out`` when
-    given (a float64 array of that shape, rows may be strided), which is
-    filled in place.  The fixed ``_BLOCK_PATHS`` chunks are drawn on
-    ``VOC_THREADS`` threads, else as many as the usable CPUs; the values never
-    depend on the count.
+    Path p is draw p mod ``_BLOCK_PATHS`` of chunk p // ``_BLOCK_PATHS``'s
+    stream, as described in the module docstring: n_steps standard normals
+    (numpy's ziggurat) times sqrt(dt).  The result is stored step-major: it
+    is the transpose of a C-contiguous (n_steps, n_paths) array, or of ``out``
+    when given (a float64 array of that shape, rows may be strided), which is
+    filled in place.  The chunks are drawn on ``VOC_THREADS`` threads, else as
+    many as the usable CPUs; the values never depend on the count.
     """
     if out is None:
         out = np.empty((n_steps, n_paths))

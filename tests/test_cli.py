@@ -219,6 +219,14 @@ def test_empty_degree_list_is_config_error(tmp_path, cmd):
     assert main(["--config", str(cfg), *cmd]) == 2
 
 
+@pytest.mark.parametrize("cmd", [["control", "--n", "5,5"], ["convergence", "--n-list", "1,2,1"]])
+def test_repeated_degree_is_config_error(tmp_path, capsys, cmd):
+    cfg, out = write_config(tmp_path)
+    assert main(["--config", str(cfg), *cmd]) == 2
+    assert "repeats degree" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_problem_keys_take_run_config_defaults(tmp_path):
     from dataclasses import replace
 
@@ -415,14 +423,16 @@ def test_seed_override_changes_simulation(tmp_path):
     assert (out / "paths_controlled.csv").read_bytes() != first
 
 
-def _run_module(*args):
-    # ``python -m voctrl.cli`` in a fresh interpreter that imports the same
-    # package as this test run
+def _run_python(*args):
+    # a fresh interpreter that imports the same package as this test run
     src = str(Path(voctrl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "voctrl.cli", *args],
-                          env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
+
+
+def _run_module(*args):
+    return _run_python("-m", "voctrl.cli", *args)
 
 
 def test_module_entry_point_runs_a_command(tmp_path):
@@ -441,3 +451,11 @@ def test_module_entry_point_bad_config_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "config error" in proc.stderr
     assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy costs every process a quarter second and 25 MiB at import
+    code = "import sys, voctrl, voctrl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -70,31 +70,50 @@ def test_terminal_variance_matches_ito_isometry(degree):
     assert abs(batch.paths[:, -1].var(ddof=1) - target) <= 3.0 * se
 
 
-def philox_reference(seed, path, n_steps, dt):
-    """Increments of one path from its own Philox counter range alone."""
-    from scipy.special import ndtri
-
-    blocks_per_path = -(-n_steps // 4)
-    bg = np.random.Philox(key=seed)
-    bg.advance(path * blocks_per_path)
-    words = bg.random_raw(4 * blocks_per_path)[:n_steps]
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u) * np.sqrt(dt)
+def chunk_reference(seed, chunk, n_paths, n_steps, dt):
+    """The first n_paths increment rows of one noise chunk, from one draw of
+    a fresh stream of that chunk alone."""
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk]))
+    return gen.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
 
 
 def test_increment_layout_is_counter_addressable():
-    # row p must be reproducible in isolation from (seed, path index) alone
+    # path 4096 + 3 must be reproducible from (seed, chunk 1, position 3) alone
     seed, n_steps, dt = 987, 10, 0.1
-    dw = gaussian_increments(seed, 6, n_steps, dt)
-    assert np.array_equal(dw[3], philox_reference(seed, 3, n_steps, dt))
+    dw = gaussian_increments(seed, 4096 + 6, n_steps, dt)
+    assert np.array_equal(dw[4096 + 3], chunk_reference(seed, 1, 4, n_steps, dt)[3])
 
 
 @pytest.fixture(scope="module")
 def three_chunk_reference():
     # 2 * 4096 + 5 paths: two full noise chunks and a short third one
     seed, n_paths, n_steps, dt = 4242, 2 * 4096 + 5, 7, 0.25
-    ref = np.array([philox_reference(seed, p, n_steps, dt) for p in range(n_paths)])
+    ref = np.concatenate([chunk_reference(seed, c, min(4096, n_paths - 4096 * c), n_steps, dt)
+                          for c in range(3)])
     return seed, n_paths, n_steps, dt, ref
+
+
+def test_increment_chunks_are_disjoint(three_chunk_reference):
+    # each chunk's counter range is its own: chunk 1 shares no value with its
+    # neighbours, as it would if the chunk index were a shift of one stream
+    seed, n_paths, n_steps, dt, _ = three_chunk_reference
+    dw = gaussian_increments(seed, n_paths, n_steps, dt)
+    chunks = dw[:4096], dw[4096:8192], dw[8192:]
+    assert np.intersect1d(chunks[1], chunks[0]).size == 0
+    assert np.intersect1d(chunks[1], chunks[2]).size == 0
+
+
+def test_increment_stream_is_pinned():
+    # NEP 19 does not promise Generator streams across numpy versions; a
+    # change of the ziggurat or of Philox moves every Monte-Carlo number
+    import hashlib
+
+    dw = gaussian_increments(2021, 4096 + 4, 3, 0.5)
+    digest = hashlib.sha256(np.ascontiguousarray(dw).tobytes()).hexdigest()
+    assert digest == "c666b17bfcc49f9e19742bd8af6e377149dfc8ded6aff921f84750891f276362", (
+        f"gaussian_increments under numpy {np.__version__} differs from the stream "
+        f"pinned under numpy 2.4.6: every Monte-Carlo number and simulate CSV moves with it"
+    )
 
 
 def set_threads(monkeypatch, workers):
