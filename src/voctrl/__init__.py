@@ -24,6 +24,7 @@ from .control import (
     choose_M,
     lift_for_problem,
     monomial_closed_form,
+    on_kn,
     optimal_control_poly,
     truncation_error_bound,
     value_function,
@@ -108,6 +109,7 @@ __all__ = [
     "lq_oracle",
     "mittag_leffler",
     "monomial_closed_form",
+    "on_kn",
     "operator_norm_bound",
     "optimal_control_poly",
     "simulate_paths",

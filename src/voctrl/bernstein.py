@@ -9,8 +9,10 @@ h-Holder kernel satisfies the uniform bound
 
     sup |K - K_n| <= holder_H * T**h * 2**(-h) * n**(-h/2).
 
-Its monomial coefficients kappa (K_n(t) = sum_k kappa[k] t**k) are what make
-K_n liftable, so they are the main product here.
+K_n is a ``PolynomialKernel``: its monomial coefficients kappa
+(K_n(t) = sum_k kappa[k] t**k, the kernel's ``coeffs``) are what make it
+liftable, so they are the main product here.  It evaluates in the stable
+Bernstein basis, not from kappa.
 """
 
 import math
@@ -20,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericRangeError
-from .kernels import Kernel, _check_time
+from .kernels import Kernel, PolynomialKernel
 
 #: largest approximation degree with trustworthy double-precision coefficients;
 #: k! * kappa[k] magnitudes degrade quickly beyond this.
@@ -43,41 +45,36 @@ def _forward_differences(values):
     return out
 
 
-@dataclass(frozen=True)
-class BernsteinKernel:
-    """Degree-n Bernstein approximation of a source kernel.
+@dataclass(frozen=True, kw_only=True)
+class BernsteinKernel(PolynomialKernel):
+    """Degree-n Bernstein approximation of a source kernel: a polynomial kernel
+    whose monomial coefficients ``coeffs`` are kappa, length n + 1.
 
     Attributes
     ----------
     n : int
         Approximation degree.
-    kappa : numpy.ndarray
-        Monomial coefficients, length n + 1.
     source : Kernel
         The approximated kernel (carries horizon and Holder metadata).
     node_values : numpy.ndarray
-        K(T k / n) for k = 0..n; basis-form evaluation runs on these.
+        K(T k / max(n, 1)) for k = 0..n; basis-form evaluation runs on these.
     """
 
     n: int
-    kappa: np.ndarray
     source: Kernel
     node_values: np.ndarray
 
-    @property
-    def T(self) -> float:
-        return self.source.T
+    # the class's own attribute, so perfbench's tracer times K_n apart from other kernels
+    __call__ = Kernel.__call__
 
-    def __call__(self, t):
-        """Evaluate K_n(t) in the Bernstein basis (de Casteljau recursion).
+    def _value(self, t):
+        """K_n(t) in the Bernstein basis (de Casteljau recursion).
 
-        Numerically stable for any n <= N_CAP; accepts a scalar (returns a
-        float) or a 1-d array (returns an array).  Each level is updated in
-        place through one preallocated buffer, so no temporaries are allocated
-        per level.
+        Numerically stable for any n <= N_CAP.  Each level is updated in place
+        through one preallocated buffer, so no temporaries are allocated per
+        level.
         """
-        ts = _check_time(t, self.T)
-        x = np.atleast_1d(ts) / self.T
+        x = t / self.T
         y = 1.0 - x
         b = np.repeat(self.node_values[:, None], len(x), axis=1)
         tmp = np.empty((self.n, len(x)))
@@ -85,33 +82,34 @@ class BernsteinKernel:
             np.multiply(x, b[1 : m + 1], out=tmp[:m])
             b[:m] *= y
             b[:m] += tmp[:m]
-        return float(b[0, 0]) if np.ndim(ts) == 0 else b[0].copy()
+        return b[0].copy()
 
 
 def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
     """Build the degree-n Bernstein approximation of ``source``.
 
-    The monomial coefficients are, with f_k = K(T k / n),
+    The monomial coefficients are, with f_k = K(T k / max(n, 1)),
 
         kappa[k] = C(n, k) * Delta^k[f](0) / T**k,
 
     the forward-difference form of the alternating binomial sum; the two are
     algebraically identical, but the differences are exact and rounded once.
+    At n = 0 the one node is t = 0, so K_0 is the constant K(0).
     """
     if n < 0:
         raise NumericRangeError(f"degree must be nonnegative, got {n}")
     if n > N_CAP:
         raise NumericRangeError(f"degree {n} exceeds numerically stable cap {N_CAP}")
     T = source.T
-    if n == 0:
-        vals = np.array([source(0.0)])
-        return BernsteinKernel(n=0, kappa=vals.copy(), source=source, node_values=vals)
-    vals = source(T * np.arange(n + 1) / n)
-    diffs = _forward_differences(vals)
-    kappa = np.array([math.comb(n, k) * diffs[k] / T**k for k in range(n + 1)])
+    vals = source(T * np.arange(n + 1) / max(n, 1))
+    try:
+        diffs = _forward_differences(vals)
+        kappa = np.array([math.comb(n, k) * diffs[k] / T**k for k in range(n + 1)])
+    except ArithmeticError as exc:  # an infinite node value, or T**k out of range
+        raise NumericRangeError(f"Bernstein coefficients of degree {n} out of range: {exc}") from None
     if not np.all(np.isfinite(kappa)):
         raise NumericRangeError("non-finite Bernstein coefficients")
-    return BernsteinKernel(n=n, kappa=kappa, source=source, node_values=vals)
+    return BernsteinKernel(T=T, coeffs=kappa, n=n, source=source, node_values=vals)
 
 
 @dataclass(frozen=True)

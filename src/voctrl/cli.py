@@ -5,9 +5,9 @@ write CSV/JSON artifacts into the output directory; ``--m`` is read by the
 config's own ``[lift] M`` entry.  Runs are deterministic given the config,
 including seeds, so re-runs are byte-identical.  VOC_THREADS, the only thread
 setting, bounds the threads that draw simulation noise (default: the usable
-CPUs) without changing any output.  ``_control`` builds each degree's K_n
-once for both the choice of M and the control; simulation and the objective
-stay on the original kernel.
+CPUs) without changing any output.  ``_control`` poses the problem on each
+degree's K_n once, through ``control.on_kn``, for both the choice of M and the
+control; simulation and the objective stay on the original kernel.
 
 Exit codes: 0 success, 2 config error, 3 numeric-range error, 4 simulation
 error.
@@ -21,12 +21,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bernstein import BernsteinKernel, bernstein_kernel, uniform_error_report
+from .bernstein import uniform_error_report
 from .config import RunConfig, load_config, parse_setting, split_list, with_overrides
 from .control import (
     choose_M,
     lift_for_problem,
     monomial_closed_form,
+    on_kn,
     optimal_control_poly,
     value_function,
 )
@@ -37,7 +38,7 @@ from .errors import (
     NumericRangeError,
     SimulationError,
 )
-from .kernels import MonomialKernel, PolynomialKernel
+from .kernels import MonomialKernel
 from .objective import evaluate_J_deterministic, lq_oracle
 from .simulate import TimeGrid, simulate_paths
 
@@ -68,18 +69,10 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _on_kn(problem, n: int):
-    """The problem posed on K_n, built once; a problem whose kernel already is
-    a polynomial is its own K_n."""
-    if isinstance(problem.kernel, (PolynomialKernel, BernsteinKernel)):
-        return problem
-    return dataclasses.replace(problem, kernel=bernstein_kernel(problem.kernel, n))
-
-
 def _control(cfg: RunConfig, problem, n: int):
     """The degree-n control at the configured M, or at the M that ``choose_M``
     picks for ``cfg.tol`` when M is auto; both lifts take K_n exactly."""
-    kn = _on_kn(problem, n)
+    kn = on_kn(problem, n)
     M = choose_M(lift_for_problem(kn, n), kn.T, cfg.tol) if cfg.M is None else cfg.M
     return optimal_control_poly(kn, n, M)
 
@@ -133,8 +126,7 @@ def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
         written += [csv_path, json_path]
     if isinstance(problem.kernel, MonomialKernel):
         ref_path = out / "control_reference.csv"
-        _write_csv(ref_path, ["t", "u_exact"],
-                   (ts, [monomial_closed_form(problem, t) for t in ts]))
+        _write_csv(ref_path, ["t", "u_exact"], (ts, monomial_closed_form(problem, ts)))
         written.append(ref_path)
     return written
 
@@ -172,8 +164,7 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
     oracle = lq_oracle(problem, grid)
     h, _ = problem.kernel.holder_metadata()
     ts = np.linspace(0.0, problem.T, 100)
-    exact = (np.array([monomial_closed_form(problem, t) for t in ts])
-             if isinstance(problem.kernel, MonomialKernel) else None)
+    exact = monomial_closed_form(problem, ts) if isinstance(problem.kernel, MonomialKernel) else None
     rows = []
     for n in n_values:
         cp = _control(cfg, problem, n)
@@ -195,7 +186,7 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
 def cmd_oracle(cfg: RunConfig) -> list[Path]:
     # cross-validate against an independent discretization of the same
     # polynomial-kernel program the lift solves
-    problem = _on_kn(cfg.problem(), cfg.n)
+    problem = on_kn(cfg.problem(), cfg.n)
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
     cp = _control(cfg, problem, cfg.n)
     oracle = lq_oracle(problem, grid)

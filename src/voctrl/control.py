@@ -20,16 +20,19 @@ solution is affine in the state, v(t, z) = <w(t), z> + c(t), and only the
 scalar trace <w(s), nu> = -(2 a1 / alpha) u(s) is ever needed, so the value
 at time zero reduces to a one-dimensional quadrature over u.
 
+The lift needs a polynomial kernel; ``on_kn`` is the one place that poses a
+problem on its degree-n polynomial K_n.
+
 For a pure monomial kernel t**N the exponential sums in closed form to a
 Mittag-Leffler expression, which serves as the exact reference everywhere.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bernstein import BernsteinKernel, bernstein_kernel
+from .bernstein import bernstein_kernel
 from .errors import DomainError, NumericRangeError
 from .kernels import Kernel, MonomialKernel, PolynomialKernel, _check_time
 from .lift import LiftedKernel, gamma_table, lift_from_coefficients, operator_norm_bound
@@ -71,13 +74,15 @@ class ControlProblem:
 
     def __post_init__(self):
         for name in ("alpha", "a1", "a2"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # beta = 0 (no forgetting) is admissible: the lift degenerates to the
         # pure shift and the simulator drops its feedback term
         for name in ("beta", "sigma"):
-            if not getattr(self, name) >= 0.0:
-                raise DomainError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
+        if not math.isfinite(self.x0):
+            raise DomainError(f"x0 must be finite, got {self.x0}")
 
     @property
     def T(self) -> float:
@@ -118,23 +123,21 @@ class ControlPolynomial:
         return float(out[0]) if np.ndim(ts) == 0 else out
 
 
-def lift_for_problem(problem: ControlProblem, n: int) -> LiftedKernel:
-    """Lift the problem's kernel: exactly for polynomials, else via Bernstein(n).
+def on_kn(problem: ControlProblem, n: int) -> ControlProblem:
+    """The problem posed on its degree-n polynomial kernel K_n.
 
-    A PolynomialKernel is lifted from its coefficients and a BernsteinKernel
-    from its kappa, whatever n is: both already are the polynomial the lift
-    needs, so a problem posed on K_n is solved for that K_n and not for its
-    Bernstein approximation.  Monomial kernels are a special case of the
-    exact route when expressed as PolynomialKernel; as MonomialKernel they go
-    through Bernstein like any other continuous kernel, which is what the
-    approximation studies need.
+    A ``PolynomialKernel``, a ``BernsteinKernel`` included, is its own K_n
+    whatever n is, so its problem comes back unchanged.  Any other kernel,
+    ``MonomialKernel`` included, is replaced by ``bernstein_kernel(kernel, n)``.
     """
-    kernel = problem.kernel
-    if isinstance(kernel, PolynomialKernel):
-        return lift_from_coefficients(kernel.coeffs, problem.beta)
-    if not isinstance(kernel, BernsteinKernel):
-        kernel = bernstein_kernel(kernel, n)
-    return lift_from_coefficients(kernel.kappa, problem.beta)
+    if isinstance(problem.kernel, PolynomialKernel):
+        return problem
+    return replace(problem, kernel=bernstein_kernel(problem.kernel, n))
+
+
+def lift_for_problem(problem: ControlProblem, n: int) -> LiftedKernel:
+    """The exact lift of the problem posed on K_n (see ``on_kn``)."""
+    return lift_from_coefficients(on_kn(problem, n).kernel.coeffs, problem.beta)
 
 
 def _over_factorial(x: float, k: int) -> float:
@@ -200,18 +203,23 @@ def choose_M(lk: LiftedKernel, T: float, tol: float) -> int:
     raise NumericRangeError(f"tolerance {tol} unreachable at M <= {M_MAX}")
 
 
-def monomial_closed_form(problem: ControlProblem, t: float) -> float:
+def monomial_closed_form(problem: ControlProblem, t):
     """Exact optimal control for K(t) = t**N via the Mittag-Leffler function:
 
-        scale * N! * (T-t)**N * E_{N+1,N+1}(-beta * N! * (T-t)**(N+1)).
+        scale * N! * (T-t)**N * E_{N+1,N+1}(-beta * N! * (T-t)**(N+1)),
+
+    for a time (returns a float) or an array of times (returns an array), each
+    value in scalar ``math``, so an array entry equals the scalar call bit for bit.
     """
     if not isinstance(problem.kernel, MonomialKernel):
         raise DomainError("closed form undefined: kernel is not a monomial")
     N = problem.kernel.degree
     T = problem.T
-    s = T - _check_time(float(t), T)
     fN = float(math.factorial(N))
-    return problem.scale * fN * s**N * mittag_leffler(-problem.beta * fN * s ** (N + 1), N + 1, N + 1)
+    ts = _check_time(t, T)
+    u = [problem.scale * fN * s**N * mittag_leffler(-problem.beta * fN * s ** (N + 1), N + 1, N + 1)
+         for s in map(float, np.ravel(T - ts))]
+    return u[0] if np.ndim(ts) == 0 else np.reshape(u, np.shape(ts))
 
 
 @dataclass(frozen=True)

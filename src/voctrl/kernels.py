@@ -12,8 +12,7 @@ supplied explicitly; for the monomial, fractional and gamma families a
 conservative default is derived automatically.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +59,10 @@ class Kernel:
     holder_H: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):  # horizon, Holder data, parameters and number lists
+            value = getattr(self, f.name)
+            if isinstance(value, (float, tuple, np.ndarray)) and not np.all(np.isfinite(value)):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if not self.T > 0.0:
             raise DomainError(f"horizon T must be positive, got {self.T}")
         if self.holder_h is not None and not 0.0 < self.holder_h <= 1.0:
@@ -184,8 +187,6 @@ class PolynomialKernel(Kernel):
         super().__post_init__()
         if len(self.coeffs) == 0:
             raise DomainError("polynomial kernel needs at least one coefficient")
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise DomainError("polynomial coefficients must be finite")
 
     def _value(self, t):
         acc = 0.0
@@ -216,8 +217,6 @@ class TabulatedKernel(Kernel):
         tol = 1e-12 * max(1.0, self.T)
         if abs(t[0]) > tol or abs(t[-1] - self.T) > tol:
             raise DomainError("tabulated times must start at 0 and end at T")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("tabulated values must be finite")
 
     def _value(self, t):
         return np.interp(t, self.times, self.values)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .control import ControlProblem
 from .errors import NumericRangeError
-from .simulate import TimeGrid, _control_values, _kernel_table, _volterra_solve, simulate_paths
+from .simulate import (TimeGrid, _control_values, _kernel_table, _volterra_solve,
+                       deterministic_mean, simulate_paths)
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,9 @@ def _trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
 
 def evaluate_J_deterministic(problem: ControlProblem, control, grid: TimeGrid) -> ObjectiveReport:
     """J for a deterministic control: -a1 * trapz(u**2) + a2 * m(T)."""
-    ktab = _kernel_table(problem, grid)
+    m = deterministic_mean(problem, control, grid)
     u = _control_values(control, grid.nodes)
     w = _trapezoid_weights(grid.n_steps, grid.dt)
-    m = _volterra_solve(ktab, grid.dt, problem.beta, problem.x0, problem.alpha * u)
     j = -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * m[-1]
     return ObjectiveReport(j_estimate=j, std_error=0.0, method="deterministic")
 

@@ -75,10 +75,10 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if not self.T > 0.0:
-            raise DomainError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.T < math.inf:
+            raise DomainError(f"T must be positive and finite, got {self.T}")
         if abs(self.n_steps * self.dt - self.T) > 1e-12:
             raise DomainError(
                 f"grid mesh {self.dt} does not divide horizon {self.T} evenly"
@@ -143,13 +143,8 @@ def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float,
     def fill(a):
         _fill_noise(out[:, a : a + _BLOCK_PATHS], seed, a, dt)
 
-    workers = min(_resolve_workers(), len(starts))
-    if workers <= 1:
-        for a in starts:
-            fill(a)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+    with ThreadPoolExecutor(max_workers=max(1, min(_resolve_workers(), len(starts)))) as pool:
+        list(pool.map(fill, starts))
     return out.T
 
 

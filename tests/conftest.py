@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,20 @@ def grid_sup(f, g, ts):
 
 def uniform_grid(T, n):
     return np.linspace(0.0, T, n)
+
+
+@pytest.fixture
+def bernstein_calls(monkeypatch):
+    """The degree of every ``bernstein_kernel`` call, wherever voctrl holds it."""
+    from voctrl.bernstein import bernstein_kernel
+
+    calls = []
+
+    def counting(source, n):
+        calls.append(n)
+        return bernstein_kernel(source, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "voctrl" and getattr(module, "bernstein_kernel", None) is bernstein_kernel:
+            monkeypatch.setattr(module, "bernstein_kernel", counting)
+    return calls

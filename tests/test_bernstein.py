@@ -6,8 +6,10 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from voctrl import (
+    BernsteinKernel,
     FractionalKernel,
     GammaKernel,
+    Kernel,
     MonomialKernel,
     N_CAP,
     NumericRangeError,
@@ -22,21 +24,44 @@ from .conftest import uniform_grid
 def test_constant_kernel_reproduced_exactly():
     c = 3.7
     bk = bernstein_kernel(PolynomialKernel(T=2.0, coeffs=(c,)), 6)
-    assert bk.kappa[0] == c
-    assert np.all(bk.kappa[1:] == 0.0)
+    assert bk.coeffs[0] == c
+    assert np.all(bk.coeffs[1:] == 0.0)
     assert bk(1.234) == c
+
+
+def test_bernstein_kernel_is_a_polynomial_kernel():
+    bk = bernstein_kernel(FractionalKernel(T=2.0, exponent=0.3), 5)
+    assert isinstance(bk, PolynomialKernel)
+    assert isinstance(bk, Kernel)
+    assert bk.T == 2.0 and len(bk.coeffs) == 6
+    # one call rule for every kernel, kept in K_n's own namespace
+    assert vars(BernsteinKernel)["__call__"] is Kernel.__call__
+
+
+def test_degree_zero_is_the_constant_at_zero():
+    source = PolynomialKernel(T=2.0, coeffs=(3.0, -1.0))
+    bk = bernstein_kernel(source, 0)
+    assert tuple(bk.coeffs) == (source(0.0),)
+    assert np.all(bk(uniform_grid(2.0, 7)) == 3.0)
+
+
+@pytest.mark.parametrize("T", [1e300, 1e-200], ids=["overflow", "underflow"])
+def test_horizon_out_of_range_is_a_range_error(T):
+    # T**2 overflows (OverflowError) or underflows to 0 (ZeroDivisionError)
+    with pytest.raises(NumericRangeError, match="out of range"):
+        bernstein_kernel(FractionalKernel(T=T, exponent=0.3), 2)
 
 
 def test_linear_kernel_degree_one():
     # K_1(t) = K(0)(1 - t) + K(1) t = t on [0, 1]
     bk = bernstein_kernel(MonomialKernel(T=1.0, degree=1), 1)
-    assert np.allclose(bk.kappa, [0.0, 1.0], atol=1e-15)
+    assert np.allclose(bk.coeffs, [0.0, 1.0], atol=1e-15)
 
 
 def test_square_kernel_degree_two():
     # K_2(t) = 2 (1/4) t (1-t) + t^2 = t/2 + t^2/2 on [0, 1]
     bk = bernstein_kernel(MonomialKernel(T=1.0, degree=2), 2)
-    assert np.allclose(bk.kappa, [0.0, 0.5, 0.5], atol=1e-15)
+    assert np.allclose(bk.coeffs, [0.0, 0.5, 0.5], atol=1e-15)
 
 
 def _exact_kappa(poly_coeffs, T, n):
@@ -64,7 +89,7 @@ def _exact_kappa(poly_coeffs, T, n):
 def test_coefficients_match_rational_oracle(coeffs, T, n):
     bk = bernstein_kernel(PolynomialKernel(T=T, coeffs=coeffs), n)
     exact = _exact_kappa(coeffs, T, n)
-    assert np.allclose(bk.kappa, exact, rtol=1e-12, atol=1e-12)
+    assert np.allclose(bk.coeffs, exact, rtol=1e-12, atol=1e-12)
 
 
 def test_coefficients_match_alternating_sum():
@@ -79,7 +104,7 @@ def test_coefficients_match_alternating_sum():
             for i in range(k + 1)
         ]
         ref = math.fsum(terms) / 2.0**k
-        assert bk.kappa[k] == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        assert bk.coeffs[k] == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 def test_evaluate_square_kernel_values():
@@ -111,7 +136,7 @@ def test_basis_and_monomial_forms_agree(n, fractional_kernel, gamma_kernel):
     for kernel in (fractional_kernel, gamma_kernel, MonomialKernel(T=2.0, degree=2)):
         bk = bernstein_kernel(kernel, n)
         for t in uniform_grid(2.0, 23):
-            assert bk(t) == pytest.approx(polyval(t, bk.kappa), abs=1e-8)
+            assert bk(t) == pytest.approx(polyval(t, bk.coeffs), abs=1e-8)
 
 
 def test_error_report_constant():

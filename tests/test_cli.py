@@ -376,21 +376,24 @@ def test_csv_text_is_pinned(tmp_path):
                                  b"20,4.9406564584124654e-324,-inf\n")
 
 
-@pytest.fixture
-def bernstein_calls(monkeypatch):
-    """The degree of every ``bernstein_kernel`` call, wherever voctrl holds it."""
-    from voctrl.bernstein import bernstein_kernel
-
-    calls = []
-
-    def counting(source, n):
-        calls.append(n)
-        return bernstein_kernel(source, n)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "voctrl" and getattr(module, "bernstein_kernel", None) is bernstein_kernel:
-            monkeypatch.setattr(module, "bernstein_kernel", counting)
-    return calls
+@pytest.mark.parametrize("command, setting, value, code, message", [
+    ("simulate", "T = 2.0", "T = inf", 2, "T must be finite"),
+    ("control", "T = 2.0", "T = 1e300", 3, "out of range"),
+    ("simulate", "dt = 0.05", "dt = inf", 3, "dt must be positive and finite"),
+    ("control", "x0 = 0.0", "x0 = nan", 2, "x0 must be finite"),
+    ("control", "alpha = 1.0", "alpha = inf", 2, "alpha must be positive and finite"),
+    ("control", "a1 = 1.0", "a1 = inf", 2, "a1 must be positive and finite"),
+], ids=["T=inf", "T=1e300", "dt=inf", "x0=nan", "alpha=inf", "a1=inf"])
+def test_out_of_range_input_fails_cleanly(tmp_path, capsys, command, setting, value, code,
+                                          message):
+    # rejected before any artifact is written, with an error line, not a traceback
+    cfg, out = write_config(tmp_path)
+    text = cfg.read_text()
+    assert setting in text
+    cfg.write_text(text.replace(setting, value))
+    assert main(["--config", str(cfg), command]) == code
+    assert not out.exists() or not any(out.iterdir())
+    assert message in capsys.readouterr().err
 
 
 def test_oracle_builds_the_bernstein_kernel_once(tmp_path, bernstein_calls):

@@ -21,6 +21,7 @@ from voctrl import (
     lift_from_coefficients,
     monomial_closed_form,
     lq_oracle,
+    on_kn,
     optimal_control_poly,
     truncation_error_bound,
     value_function,
@@ -161,6 +162,36 @@ def test_problem_posed_on_bernstein_kernel_is_lifted_exactly(kernel):
                           optimal_control_poly(problem, 20, 50).coeffs)
 
 
+@pytest.mark.parametrize("kernel", [
+    PolynomialKernel(T=2.0, coeffs=(1.0, -0.5)),
+    bernstein_kernel(FractionalKernel(T=2.0, exponent=0.3), 5),
+], ids=["polynomial", "K_n"])
+def test_on_kn_keeps_a_polynomial_kernel(kernel, bernstein_calls):
+    problem = make_problem(kernel)
+    assert on_kn(problem, 20) is problem
+    assert bernstein_calls == []
+
+
+@pytest.mark.parametrize("kernel", [
+    FractionalKernel(T=2.0, exponent=0.3),
+    MonomialKernel(T=2.0, degree=2),
+], ids=["t0.3", "monomial"])
+def test_on_kn_poses_any_other_kernel_on_its_bernstein_polynomial(kernel, bernstein_calls):
+    problem = make_problem(kernel, beta=0.5, x0=0.25)
+    kn = on_kn(problem, 7)
+    assert bernstein_calls == [7]
+    assert replace(kn, kernel=kernel) == problem
+    assert np.array_equal(kn.kernel.coeffs, bernstein_kernel(kernel, 7).coeffs)
+    assert on_kn(kn, 7) is kn
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "sigma", "a1", "a2", "x0"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_problem_rejects_non_finite_data(fractional_kernel, field, value):
+    with pytest.raises(DomainError, match=f"{field} must be .*finite"):
+        make_problem(fractional_kernel, **{field: value})
+
+
 def test_control_invariant_under_noise_and_initial_state():
     base = _poly_problem((0.0, 0.0, 1.0))
     other = _poly_problem((0.0, 0.0, 1.0), sigma=7.5, x0=-3.0)
@@ -238,6 +269,17 @@ def test_closed_form_simple_cases():
     flat = make_problem(MonomialKernel(T=2.0, degree=0))
     for t in uniform_grid(2.0, 9):
         assert monomial_closed_form(flat, t) == pytest.approx(0.5 * math.exp(-(2.0 - t)), rel=1e-12)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_closed_form_on_an_array_equals_scalar_calls(degree):
+    problem = make_problem(MonomialKernel(T=2.0, degree=degree))
+    ts = uniform_grid(2.0, 41)
+    values = monomial_closed_form(problem, ts)
+    assert isinstance(values, np.ndarray) and values.shape == ts.shape
+    assert np.array_equal(values, [monomial_closed_form(problem, t) for t in ts])
+    assert np.array_equal(monomial_closed_form(problem, ts.reshape(41, 1)), values.reshape(41, 1))
+    assert isinstance(monomial_closed_form(problem, 0.5), float)
 
 
 def test_closed_form_requires_monomial(fractional_kernel):

@@ -114,6 +114,18 @@ def test_invalid_parameters():
         MonomialKernel(T=2.0, degree=2, holder_h=1.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MonomialKernel(T=math.inf, degree=2),
+    lambda: FractionalKernel(T=math.nan, exponent=0.3),
+    lambda: FractionalKernel(T=2.0, exponent=math.inf),
+    lambda: GammaKernel(T=2.0, rate=math.inf, exponent=0.3),
+    lambda: FractionalKernel(T=2.0, exponent=0.3, holder_h=0.3, holder_H=math.inf),
+], ids=["T=inf", "T=nan", "exponent=inf", "rate=inf", "holder_H=inf"])
+def test_non_finite_parameters_are_rejected(make):
+    with pytest.raises(DomainError, match="must be finite"):
+        make()
+
+
 def _shipped_kernels():
     return [
         FractionalKernel(T=2.0, exponent=0.3),

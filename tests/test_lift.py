@@ -26,16 +26,16 @@ def test_lift_square_kernel_exact():
 
 def test_lift_from_bernstein_linear():
     bk = bernstein_kernel(MonomialKernel(T=1.0, degree=1), 1)
-    lk = lift_from_coefficients(bk.kappa, beta=1.0)
+    lk = lift_from_coefficients(bk.coeffs, beta=1.0)
     assert np.allclose(lk.g, [0.0, 1.0], atol=1e-15)
 
 
 def test_lift_reconstructs_kernel():
     bk = bernstein_kernel(MonomialKernel(T=2.0, degree=2), 8)
-    lk = lift_from_coefficients(bk.kappa, beta=0.7)
+    lk = lift_from_coefficients(bk.coeffs, beta=0.7)
     inv_fact = np.array([1.0 / math.factorial(i) for i in range(lk.n + 1)])
     for t in np.linspace(0.0, 2.0, 9):
-        assert polyval(t, lk.g * inv_fact) == pytest.approx(polyval(t, bk.kappa), rel=1e-12, abs=1e-12)
+        assert polyval(t, lk.g * inv_fact) == pytest.approx(polyval(t, bk.coeffs), rel=1e-12, abs=1e-12)
 
 
 def test_lift_overflow():

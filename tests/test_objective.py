@@ -103,7 +103,7 @@ def test_oracle_matches_monomial_closed_form():
     problem = make_problem(MonomialKernel(T=2.0, degree=2))
     grid = TimeGrid(T=2.0, dt=0.005)
     oracle = lq_oracle(problem, grid)
-    closed = np.array([monomial_closed_form(problem, t) for t in grid.nodes])
+    closed = monomial_closed_form(problem, grid.nodes)
     assert np.abs(oracle.u_values - closed).max() <= 1e-2
 
 
@@ -210,7 +210,7 @@ def test_oracle_cost_weights_positive(fractional_kernel):
 
 def _closed_form_error(problem, dt):
     grid = TimeGrid(T=problem.T, dt=dt)
-    closed = np.array([monomial_closed_form(problem, t) for t in grid.nodes])
+    closed = monomial_closed_form(problem, grid.nodes)
     return np.abs(lq_oracle(problem, grid).u_values - closed).max()
 
 

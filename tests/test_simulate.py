@@ -43,6 +43,14 @@ def test_time_grid_rejects_uneven_mesh():
         TimeGrid(T=1.0, dt=-0.1)
 
 
+@pytest.mark.parametrize("T, dt", [(1.0, math.inf), (math.inf, 0.1), (1.0, math.nan)],
+                         ids=["dt=inf", "T=inf", "dt=nan"])
+def test_time_grid_rejects_non_finite_values(T, dt):
+    # dt = inf would otherwise pass as a grid of zero steps
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        TimeGrid(T=T, dt=dt)
+
+
 def test_frozen_dynamics_stay_at_initial_state():
     problem = make_problem(MonomialKernel(T=2.0, degree=2), beta=0.0, sigma=0.0, x0=1.25)
     batch = simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 7, seed=1)
