@@ -9,8 +9,8 @@ CPUs) without changing any output.  ``_control`` poses the problem on each
 degree's K_n once, through ``control.on_kn``, for both the choice of M and the
 control; simulation and the objective stay on the original kernel.
 
-Exit codes: 0 success, 2 config error, 3 numeric-range error, 4 simulation
-error.
+Exit codes: 0 success, 2 config error, 3 numeric-range error (an allocation
+that fails counts as one), 4 simulation error.
 """
 
 import dataclasses
@@ -289,6 +289,9 @@ def main(argv=None) -> int:
         return 2
     except (NumericRangeError, DomainError) as exc:
         click.echo(f"numeric-range error: {exc}", err=True)
+        return 3
+    except MemoryError as exc:  # a grid or path count too large to allocate
+        click.echo(f"numeric-range error: out of memory: {exc}", err=True)
         return 3
     except SimulationError as exc:
         click.echo(f"simulation error: {exc}", err=True)

@@ -27,18 +27,18 @@ Re-runs under one numpy build are byte-identical.  Across numpy versions
 they need not be: NEP 19 does not promise ``Generator`` distribution streams
 across versions, and ``tests/test_simulate.py`` pins a digest to notice.
 
-State and forcing are stored time-major (steps x paths).  ``simulate_paths``
-writes the increments straight into rows 1..N of the path array, then runs
-the recursion over fixed ``_BLOCK_PATHS`` column blocks in the calling
-thread, on BLAS threads; each block copies out its own forcing first.
-``_fill`` solves the first half of a step range, adds that half's whole
-effect on the second half as one GEMM against a Toeplitz block of the kernel
-table, and recurses into the second half; short ranges go one GEMV per step.
-When beta == 0 the forcing does not depend on the state and the whole
-strictly-lower triangle is one GEMM.  The path count is padded to a multiple
-of ``_PAD`` with extra paths of the last chunk, dropped afterwards: every
-real path sees the same BLAS tiling, so its values are bit-identical
-whatever the thread count or ``n_paths``.
+State and forcing are stored time-major (steps x paths).  The scheme is
+linear in X, so its feedback folds into the kernel: X_i = x0 +
+sum_{j<i} r[i-j] G_j, with G_j = (alpha u_j - beta x0) dt + sigma dW_j and r
+the scheme's discrete resolvent (``_resolvent``; the kernel table when
+beta == 0).  ``simulate_paths`` writes the increments straight into rows
+1..N of the path array, then runs fixed ``_BLOCK_PATHS`` column blocks in
+the calling thread, on BLAS threads; each block copies out its own forcing
+and writes X in row stripes of doubling height, each one GEMM against a
+Toeplitz block of r, small enough at CLI sizes to stay on one BLAS thread.
+The path count is padded to a multiple of ``_PAD`` with extra paths of the
+last chunk, dropped afterwards: every real path sees the same BLAS tiling, so
+its values are bit-identical whatever the thread count or ``n_paths``.
 
 The deterministic mean, and the LQ oracle in ``objective``, solve linear
 Volterra equations of the second kind with one trapezoidal product-quadrature
@@ -64,7 +64,7 @@ _MASK64 = (1 << 64) - 1
 _PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
 _BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the threads
 _DRAW_PATHS = 512  # paths per draw: one draw's buffer stays in cache
-_LEAF_STEPS = 16  # step ranges this short go one GEMV per step
+_LEAF_STEPS = 16  # rows of the first stripe; each later stripe doubles the rows done
 
 
 @dataclass(frozen=True)
@@ -215,53 +215,49 @@ def _volterra_solve(ktab: np.ndarray, dt: float, beta: float, x0, v: np.ndarray)
     return m
 
 
-def _toeplitz(rk: np.ndarray, lag: int, rows: int, cols: int) -> np.ndarray:
-    """Contiguous T[r, c] = K((lag + r - c) dt), zero where the lag is <= 0.
+def _resolvent(ktab: np.ndarray, beta_dt: float) -> np.ndarray:
+    """r[0] = 0, r[m] = K(m dt) - beta dt sum_{l=1}^{m-1} K(l dt) r[m-l].
 
-    ``rk`` is the reversed table rk[n - m] = K(m dt), m = 1..n, followed by
-    n zeros, so K(0) never enters; row r of T is window n - lag - r of it.
+    Folding the feedback -beta dt (X_j - x0) into the kernel leaves
+    X_i - x0 = sum_{j<i} r[i-j] G_j.  At beta == 0 this is the kernel table.
     """
-    n = len(rk) // 2
-    windows = sliding_window_view(rk, cols)
+    bk = beta_dt * ktab  # exact zeros at beta == 0, whatever r holds
+    r = np.zeros(len(ktab))
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects non-finite states
+        for m in range(1, len(ktab)):
+            r[m] = ktab[m] - bk[1:m] @ r[m - 1 : 0 : -1]
+    return r
+
+
+def _toeplitz(rr: np.ndarray, lag: int, rows: int, cols: int) -> np.ndarray:
+    """Contiguous T[i, j] = r[lag + i - j], zero where the lag is <= 0.
+
+    ``rr`` is the reversed resolvent rr[n - m] = r[m], m = 1..n, followed by
+    n zeros; row i of T is window n - lag - i of it.
+    """
+    n = len(rr) // 2
+    windows = sliding_window_view(rr, cols)
     return windows[n - lag - np.arange(rows)]
 
 
-def _fill(X, G, rk, beta_dt, lo, hi):
-    """Finish steps lo..hi-1 of the recursion on a (steps x paths) block.
-
-    On entry X[lo:hi+1] holds x0 plus the effect of every g_j with j < lo and
-    G[lo:hi] holds the state-free part of g; on exit G[lo:hi] is the full
-    forcing and X[lo+1:hi+1] is final.
-    """
-    n = len(rk) // 2
-    if hi - lo <= _LEAF_STEPS:
-        for j in range(lo, hi):
-            G[j] -= beta_dt * X[j]
-            X[j + 1] += rk[n - (j + 1 - lo) : n] @ G[lo : j + 1]
-        return
-    mid = (lo + hi) // 2
-    _fill(X, G, rk, beta_dt, lo, mid)
-    X[mid + 1 : hi + 1] += _toeplitz(rk, mid + 1 - lo, hi - mid, mid - lo) @ G[lo:mid]
-    _fill(X, G, rk, beta_dt, mid, hi)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # the caller rejects non-finite states
-def _simulate_block(X, rk, drift, sigma, x0, beta_dt):
+def _simulate_block(X, rr, drift, sigma, x0):
     """Paths of one (n_steps + 1) x paths block whose rows 1.. hold dW on entry.
 
     The forcing sigma dW + drift is copied out first, so it lives only for
-    the block.
+    the block.  Rows a+1..b of X take one GEMM each, b = 2a after the first
+    ``_LEAF_STEPS`` rows.
     """
     G = X[1:] * sigma
     G += drift
     n_steps = len(G)
     X[0] = x0
-    if beta_dt == 0.0:
-        np.matmul(_toeplitz(rk, 1, n_steps, n_steps), G, out=X[1:])
-        X[1:] += x0
-    else:
-        X[1:] = x0
-        _fill(X, G, rk, beta_dt, 0, n_steps)
+    a = 0
+    while a < n_steps:
+        b = min(n_steps, max(2 * a, _LEAF_STEPS))
+        np.matmul(_toeplitz(rr, a + 1, b - a, b), G[:b], out=X[a + 1 : b + 1])
+        a = b
+    X[1:] += x0
 
 
 def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: int,
@@ -277,14 +273,14 @@ def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: in
     dt = grid.dt
     ktab = _kernel_table(problem, grid)
     ctl = _control_values(control, grid.nodes[:-1])
-    rk = np.concatenate((ktab[:0:-1], np.zeros(n_steps)))
+    rr = np.concatenate((_resolvent(ktab, problem.beta * dt)[:0:-1], np.zeros(n_steps)))
     n_padded = -(-n_paths // _PAD) * _PAD
     X = np.empty((n_steps + 1, n_padded))
     gaussian_increments(seed, n_padded, n_steps, dt, out=X[1:])
-    drift = (problem.alpha * dt * ctl)[:, None]
+    drift = (problem.alpha * dt * ctl - problem.beta * dt * problem.x0)[:, None]
     for a in range(0, n_padded, _BLOCK_PATHS):
         Xb = X[:, a : a + _BLOCK_PATHS]
-        _simulate_block(Xb, rk, drift, problem.sigma, problem.x0, problem.beta * dt)
+        _simulate_block(Xb, rr, drift, problem.sigma, problem.x0)
         _check_finite(Xb[:, : n_paths - a], a, dt)
     return PathBatch(paths=X[:, :n_paths].T, seed=seed, grid=grid)
 

@@ -396,6 +396,19 @@ def test_out_of_range_input_fails_cleanly(tmp_path, capsys, command, setting, va
     assert message in capsys.readouterr().err
 
 
+def test_allocation_failure_is_numeric_range_error(tmp_path, capsys):
+    # 2e15 steps ask numpy for petabytes, which fails at once without
+    # touching memory
+    out = tmp_path / "out"
+    argv = ["--config", str(CONFIGS / "fractional.ini"), "--output-dir", str(out),
+            "oracle", "--dt", "1e-15"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric-range error:") and "allocate" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_oracle_builds_the_bernstein_kernel_once(tmp_path, bernstein_calls):
     # the K_n problem is built once and serves the control, the oracle and J
     argv = ["--config", str(CONFIGS / "gamma.ini"), "--output-dir", str(tmp_path), "oracle"]

@@ -15,7 +15,7 @@ from voctrl import (
     optimal_control_poly,
     simulate_paths,
 )
-from voctrl.simulate import _control_values, _kernel_table
+from voctrl.simulate import _control_values, _kernel_table, _resolvent
 
 from .conftest import make_problem
 
@@ -153,8 +153,8 @@ def test_increments_fill_a_strided_out_in_place(three_chunk_reference, monkeypat
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_simulation_holds_one_block_of_forcing(beta):
-    # the increments are drawn into the path array itself; beside it there is
-    # one block's forcing and, for beta != 0, the top split's GEMM product
+    # the increments are drawn into the path array itself and every row
+    # stripe's product is written into it; beside it there is one block's forcing
     import tracemalloc
 
     from voctrl.simulate import _BLOCK_PATHS, _PAD
@@ -165,14 +165,13 @@ def test_simulation_holds_one_block_of_forcing(beta):
     simulate_paths(problem, one, grid, 2, seed=1)  # lazy imports and caches
     paths_bytes = 8 * (n_steps + 1) * (-(-n_paths // _PAD) * _PAD)
     forcing_bytes = 8 * n_steps * _BLOCK_PATHS
-    split_bytes = 0 if beta == 0.0 else 8 * (n_steps - n_steps // 2) * _BLOCK_PATHS
     tracemalloc.start()
     try:
         simulate_paths(problem, one, grid, n_paths, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < paths_bytes + forcing_bytes + split_bytes + 2 * 2**20
+    assert peak < paths_bytes + forcing_bytes + 2 * 2**20
 
 
 def test_increment_moments():
@@ -196,18 +195,35 @@ def reference_paths(problem, control, grid, n_paths, seed):
     return out
 
 
-@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("beta, dt", [(0.0, 0.02), (1.0, 0.02), (10.0, 0.02),
+                                      (0.0, 0.2), (1.0, 0.2), (10.0, 0.2)],
+                         ids=["0.0", "1.0", "10.0", "0.0-10steps", "1.0-10steps", "10.0-10steps"])
 @pytest.mark.parametrize("kernel", [MonomialKernel(T=2.0, degree=0), FractionalKernel(T=2.0, exponent=0.3)],
                          ids=["K0=1", "K0=0"])
-def test_kernel_matches_reference_recursion(kernel, beta):
-    # 100 steps: three levels of splitting before the 12- and 13-step leaves;
-    # 4100 paths: two path blocks
+def test_kernel_matches_reference_recursion(kernel, beta, dt):
+    # 100 steps: row stripes of 16, 16, 32 and an uneven last 36; 10 steps:
+    # one stripe; 4100 paths: two path blocks
     problem = make_problem(kernel, beta=beta, x0=0.3)
-    grid = TimeGrid(T=2.0, dt=0.02)
+    grid = TimeGrid(T=2.0, dt=dt)
     control = lambda t: 1.0 + t
     paths = simulate_paths(problem, control, grid, 4100, seed=77).paths
     ref = reference_paths(problem, control, grid, 4100, seed=77)
     assert np.abs(paths - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_resolvent_of_constant_kernel_is_geometric():
+    # K = 1: r[m] - r[m-1] = -beta dt r[m-1], so r[m] = (1 - beta dt)^(m-1)
+    grid = TimeGrid(T=2.0, dt=0.02)
+    m = np.arange(1, grid.n_steps + 1)
+    for beta in [1.0, 10.0, 100.0]:
+        problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=beta)
+        r = _resolvent(_kernel_table(problem, grid), beta * grid.dt)
+        expected = (1.0 - beta * grid.dt) ** (m - 1)
+        assert r[0] == 0.0
+        assert np.abs(r[1:] - expected).max() <= 1e-13 * np.abs(expected).max()
+    # beta = 0: no feedback to fold in, the kernel table itself (K(0) = 0 here)
+    ktab = _kernel_table(make_problem(FractionalKernel(T=2.0, exponent=0.3), beta=0.0), grid)
+    assert np.array_equal(_resolvent(ktab, 0.0), ktab)
 
 
 def test_reruns_are_bit_identical(fractional_kernel):
@@ -306,8 +322,9 @@ def test_non_finite_control_rejected(fractional_kernel):
 
 
 def test_state_overflow_names_path_and_step():
-    # x1 = 1 - beta dt is about -1e299, so g1 = -beta dt x1 overflows and
-    # every path first turns non-finite at step 2
+    # the forcing holds -beta dt x0, about -1e299, and r[2] = 1 - beta dt is
+    # about -1e299 too, so r[2] G_0 overflows and every path first turns
+    # non-finite at step 2
     problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=1e300, x0=1.0)
     with pytest.raises(SimulationError, match=r"on path 0 at step 2 \(t = 0\.2\)"):
         simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
