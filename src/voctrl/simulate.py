@@ -219,7 +219,7 @@ def _resolvent(ktab: np.ndarray, beta_dt: float) -> np.ndarray:
     """r[0] = 0, r[m] = K(m dt) - beta dt sum_{l=1}^{m-1} K(l dt) r[m-l].
 
     Folding the feedback -beta dt (X_j - x0) into the kernel leaves
-    X_i - x0 = sum_{j<i} r[i-j] G_j.  At beta == 0 this is the kernel table.
+    X_i - x0 = sum_{j<i} r[i-j] G_j.  At beta == 0, r[1:] is the kernel table's.
     """
     bk = beta_dt * ktab  # exact zeros at beta == 0, whatever r holds
     r = np.zeros(len(ktab))
