@@ -2,7 +2,8 @@
 
 J(u) = E[-a1 int_0^T u(s)**2 ds + a2 X(T)] is evaluated two ways:
 deterministically through the mean equation (the noise is centered, so sigma
-drops out) and by Monte-Carlo over simulated paths.
+drops out) and by Monte-Carlo over the simulated terminal states X(T): each
+noise draw is reduced to X(T) as it is drawn, so no path is ever formed.
 
 ``lq_oracle`` maximizes the fully discretized functional directly.  The mean
 is affine in the control through the trapezoidal quadrature operator and the
@@ -19,8 +20,8 @@ import numpy as np
 
 from .control import ControlProblem
 from .errors import NumericRangeError
-from .simulate import (TimeGrid, _control_values, _kernel_table, _volterra_solve,
-                       deterministic_mean, simulate_paths)
+from .simulate import (TimeGrid, _control_values, _kernel_table, _terminal_states,
+                       _volterra_solve, deterministic_mean)
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,18 @@ def evaluate_J_deterministic(problem: ControlProblem, control, grid: TimeGrid) -
 
 def evaluate_J_mc(problem: ControlProblem, control, grid: TimeGrid, n_paths: int,
                   seed: int) -> ObjectiveReport:
-    """Monte-Carlo J estimate with the standard error of the terminal mean."""
+    """Monte-Carlo J estimate with the standard error of the terminal mean.
+
+    X(T) of path p is ``simulate_paths(...).paths[p, -1]`` up to rounding,
+    from the same noise, but comes from ``_terminal_states`` without forming
+    the paths: memory is O(threads * 512 * n_steps + n_paths).  The control
+    is evaluated once, on the grid nodes.
+    """
     if n_paths < 2:
         raise NumericRangeError(f"n_paths must be >= 2, got {n_paths}")
     u = _control_values(control, grid.nodes)
     w = _trapezoid_weights(grid.n_steps, grid.dt)
-    batch = simulate_paths(problem, control, grid, n_paths, seed)
-    xT = batch.paths[:, -1]
+    xT = _terminal_states(problem, u[:-1], grid, n_paths, seed)
     j = -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * float(xT.mean())
     se = problem.a2 * float(xT.std(ddof=1)) / np.sqrt(n_paths)
     return ObjectiveReport(j_estimate=j, std_error=se, method="monte_carlo", n_paths=n_paths, seed=seed)

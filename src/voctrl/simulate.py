@@ -19,10 +19,12 @@ in order, n_steps standard normals each (numpy's ziggurat), so path p is a
 pure function of (seed, p // _BLOCK_PATHS, p mod _BLOCK_PATHS): it depends
 neither on the thread count nor on n_paths.  The ziggurat takes a variable
 number of words per value, so a path cannot be drawn without the ones before
-it in its chunk.  ``gaussian_increments`` draws the chunks on a thread pool
-(the draws release the GIL) of ``VOC_THREADS`` threads, the only thread
-setting, by default as many as the usable CPUs; each chunk draws 512 paths at
-a time into one reused buffer, so no chunk-sized temporary is ever held.
+it in its chunk.  ``_chunk_draws`` is that stream, and ``_on_chunks`` runs
+one function per chunk on a thread pool (the draws release the GIL) of
+``VOC_THREADS`` threads, the only thread setting, by default as many as the
+usable CPUs; each chunk draws 512 paths at a time into one reused buffer, so
+no chunk-sized temporary is ever held.  ``gaussian_increments`` and
+``_terminal_states`` are the two consumers of these draws.
 Re-runs under one numpy build are byte-identical.  Across numpy versions
 they need not be: NEP 19 does not promise ``Generator`` distribution streams
 across versions, and ``tests/test_simulate.py`` pins a digest to notice.
@@ -39,6 +41,16 @@ Toeplitz block of r, small enough at CLI sizes to stay on one BLAS thread.
 The path count is padded to a multiple of ``_PAD`` with extra paths of the
 last chunk, dropped afterwards: every real path sees the same BLAS tiling, so
 its values are bit-identical whatever the thread count or ``n_paths``.
+
+A Monte-Carlo objective reads X only at T, and X_N = x0 + sum_j r[N-j] G_j
+is one weight vector dotted with each path's forcing.  ``_terminal_states``
+therefore forms the weights once and reduces every 512-path draw to X(T) in
+the thread that drew it, one fixed-order einsum dot per path and no BLAS
+call: no path or increment array exists, memory is O(threads * 512 * N + P),
+and the work is the draw plus N multiply-adds per path instead of the
+stripes' 0.63 * N**2.  X(T) of path p matches ``simulate_paths``'s
+``paths[p, -1]`` to rounding and, like it, depends neither on the thread
+count nor on ``n_paths``.
 
 The deterministic mean, and the LQ oracle in ``objective``, solve linear
 Volterra equations of the second kind with one trapezoidal product-quadrature
@@ -102,23 +114,30 @@ class PathBatch:
     grid: TimeGrid
 
 
-def _fill_noise(u: np.ndarray, seed: int, first_path: int, dt: float) -> None:
-    """Increments of paths first_path, first_path + 1, ... into the step-major
-    column block ``u`` (n_steps x paths), in place.
+def _chunk_draws(seed: int, first_path: int, n_paths: int, n_steps: int):
+    """Standard normals of paths first_path .. first_path + n_paths - 1.
 
-    ``first_path`` starts a chunk: a multiple of ``_BLOCK_PATHS``.  The chunk's
-    own stream is drawn path-major, ``_DRAW_PATHS`` paths at a time into one
-    reused buffer, and copied transposed and scaled into ``u``.
+    ``first_path`` starts a chunk: a multiple of ``_BLOCK_PATHS``, with
+    n_paths at most ``_BLOCK_PATHS``.  The chunk's own stream is drawn
+    path-major, ``_DRAW_PATHS`` paths at a time into one reused buffer; each
+    draw is yielded as (offset in the chunk, (k, n_steps) view of the buffer),
+    valid until the next one.
     """
-    n_steps, n_paths = u.shape
     chunk = first_path // _BLOCK_PATHS
     gen = np.random.Generator(np.random.Philox(key=seed & _MASK64, counter=[0, 0, 0, chunk]))
     buf = np.empty((min(_DRAW_PATHS, n_paths), n_steps))
-    scale = math.sqrt(dt)
     for a in range(0, n_paths, _DRAW_PATHS):
         k = min(_DRAW_PATHS, n_paths - a)
         gen.standard_normal(out=buf[:k])
-        np.multiply(buf[:k].T, scale, out=u[:, a : a + k])
+        yield a, buf[:k]
+
+
+def _on_chunks(fn, n_paths: int) -> None:
+    """fn(first_path) for every chunk of n_paths paths, on ``VOC_THREADS``
+    threads, else as many as the usable CPUs (the draws release the GIL)."""
+    starts = range(0, n_paths, _BLOCK_PATHS)
+    with ThreadPoolExecutor(max_workers=max(1, min(_resolve_workers(), len(starts)))) as pool:
+        list(pool.map(fn, starts))
 
 
 def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float,
@@ -138,13 +157,14 @@ def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float,
     elif out.shape != (n_steps, n_paths) or out.dtype != np.float64:
         raise ValueError(f"out must be float64 of shape {(n_steps, n_paths)}, "
                          f"got {out.dtype} {out.shape}")
-    starts = range(0, n_paths, _BLOCK_PATHS)
+    scale = math.sqrt(dt)
 
-    def fill(a):
-        _fill_noise(out[:, a : a + _BLOCK_PATHS], seed, a, dt)
+    def fill(first):
+        u = out[:, first : first + _BLOCK_PATHS]
+        for a, z in _chunk_draws(seed, first, u.shape[1], n_steps):
+            np.multiply(z.T, scale, out=u[:, a : a + len(z)])
 
-    with ThreadPoolExecutor(max_workers=max(1, min(_resolve_workers(), len(starts)))) as pool:
-        list(pool.map(fill, starts))
+    _on_chunks(fill, n_paths)
     return out.T
 
 
@@ -296,6 +316,40 @@ def _check_finite(Xb: np.ndarray, first_path: int, dt: float) -> None:
             f"simulation produced a non-finite state on path {first_path + p} "
             f"at step {i} (t = {i * dt:.6g})"
         )
+
+
+def _terminal_states(problem: ControlProblem, ctl: np.ndarray, grid: TimeGrid, n_paths: int,
+                     seed: int) -> np.ndarray:
+    """X(T) of paths 0..n_paths-1 from the normals ``simulate_paths`` draws
+    for them, without forming the paths (see the module docstring).
+
+    ``ctl`` is the control on t_0..t_{N-1}.  With w[j] = r[N - j], X(T) =
+    x0 + w @ drift + ws @ z, z the path's standard normals and ws = sigma
+    sqrt(dt) w.
+    """
+    n_steps, dt = grid.n_steps, grid.dt
+    w = _resolvent(_kernel_table(problem, grid), problem.beta * dt)[:0:-1]
+    drift = problem.alpha * dt * ctl - problem.beta * dt * problem.x0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite X(T) is rejected below
+        base = problem.x0 + w @ drift
+        ws = w * (problem.sigma * math.sqrt(dt))
+    xT = np.empty(n_paths)
+
+    @np.errstate(over="ignore", invalid="ignore")  # pool threads keep their own error state
+    def reduce(first):
+        out = xT[first : first + _BLOCK_PATHS]
+        for a, z in _chunk_draws(seed, first, len(out), n_steps):
+            np.einsum("ij,j->i", z, ws, out=out[a : a + len(z)])
+        out += base
+
+    _on_chunks(reduce, n_paths)
+    bad = ~np.isfinite(xT)
+    if bad.any():
+        raise SimulationError(
+            f"simulation produced a non-finite state on path {int(np.argmax(bad))} "
+            f"at step {n_steps} (t = {n_steps * dt:.6g})"
+        )
+    return xT
 
 
 def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:

@@ -8,6 +8,7 @@ from voctrl import (
     FractionalKernel,
     MonomialKernel,
     NumericRangeError,
+    SimulationError,
     TimeGrid,
     bernstein_kernel,
     deterministic_mean,
@@ -69,6 +70,36 @@ def test_monte_carlo_objective_within_three_standard_errors(gamma_kernel):
     det = evaluate_J_deterministic(problem, cp, grid)
     mc = evaluate_J_mc(problem, cp, grid, 4000, seed=31337)
     assert abs(mc.j_estimate - det.j_estimate) <= 3.0 * mc.std_error
+
+
+def test_monte_carlo_holds_terminal_states_and_one_draw_per_thread(fractional_kernel, monkeypatch):
+    # each draw is reduced to X(T) in its thread, so the peak is the P
+    # terminal states plus one 512-path draw buffer per thread:
+    # 8 P + threads * 512 * N * 8 bytes, with 2 MiB for the rest
+    import tracemalloc
+
+    from voctrl.simulate import _DRAW_PATHS
+
+    monkeypatch.setenv("VOC_THREADS", "2")
+    problem = make_problem(fractional_kernel)
+    grid = TimeGrid(T=2.0, dt=0.005)
+    n_paths, n_steps = 50_000, grid.n_steps
+    evaluate_J_mc(problem, zero, grid, 2, seed=1)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        evaluate_J_mc(problem, zero, grid, n_paths, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_paths + 2 * _DRAW_PATHS * n_steps * 8 + 2 * 2**20
+
+
+def test_monte_carlo_overflow_names_path_at_horizon():
+    # the problem of test_simulate's state overflow test: r overflows, so
+    # every path's X(T) is non-finite, and only X(T) is formed
+    problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=1e300, x0=1.0)
+    with pytest.raises(SimulationError, match=r"on path 0 at step 20 \(t = 2\)"):
+        evaluate_J_mc(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
 
 
 def test_monte_carlo_needs_two_paths(fractional_kernel):

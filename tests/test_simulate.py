@@ -15,7 +15,7 @@ from voctrl import (
     optimal_control_poly,
     simulate_paths,
 )
-from voctrl.simulate import _control_values, _kernel_table, _resolvent
+from voctrl.simulate import _control_values, _kernel_table, _resolvent, _terminal_states
 
 from .conftest import make_problem
 
@@ -263,6 +263,38 @@ def test_paths_do_not_depend_on_path_count(n_paths, workers, long_run, monkeypat
     set_threads(monkeypatch, workers)
     short = simulate_paths(problem, cp, grid, n_paths, seed=13).paths
     assert np.array_equal(short, long[:n_paths])
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("kernel", [MonomialKernel(T=2.0, degree=0), FractionalKernel(T=2.0, exponent=0.3),
+                                    MonomialKernel(T=2.0, degree=2)], ids=["t^0", "t^0.3", "t^2"])
+def test_terminal_states_are_path_ends(kernel, beta):
+    # X(T) = x0 + r-row @ G summed in another order than the stripes' last
+    # row, so the two agree to rounding; 600 paths cross a 512-path draw
+    problem = make_problem(kernel, beta=beta, x0=0.3)
+    grid = TimeGrid(T=2.0, dt=0.02)
+    control = lambda t: 1.0 + t
+    ends = simulate_paths(problem, control, grid, 600, seed=77).paths[:, -1]
+    xT = _terminal_states(problem, _control_values(control, grid.nodes[:-1]), grid, 600, seed=77)
+    assert np.abs(xT - ends).max() <= 1e-13 * np.abs(ends).max()
+
+
+@pytest.fixture(scope="module")
+def long_terminal_run():
+    problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), x0=0.4)
+    grid = TimeGrid(T=2.0, dt=0.05)
+    ctl = np.cos(grid.nodes[:-1])
+    return problem, ctl, grid, _terminal_states(problem, ctl, grid, 8193, seed=13)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n_paths", [1, 2, 513, 4097, 8193])
+def test_terminal_states_do_not_depend_on_path_count(n_paths, workers, long_terminal_run, monkeypatch):
+    # 513 crosses a draw and 4097 a chunk; 8193 is the long run itself, so
+    # it is a rerun on another thread count
+    problem, ctl, grid, long = long_terminal_run
+    set_threads(monkeypatch, workers)
+    assert np.array_equal(_terminal_states(problem, ctl, grid, n_paths, seed=13), long[:n_paths])
 
 
 def test_voc_threads_env_bounds_workers(monkeypatch, fractional_kernel):
