@@ -8,10 +8,12 @@ noise draw is reduced to X(T) as it is drawn, so no path is ever formed.
 ``lq_oracle`` maximizes the fully discretized functional directly.  The mean
 is affine in the control through the trapezoidal quadrature operator and the
 cost is a positive diagonal quadratic, so the maximizer is the discrete
-beta-resolvent of K read backwards from T, which the mean equation's own
-Volterra sweep delivers in O(n_steps) memory.  Sharing the trapezoidal
-weights with ``deterministic_mean`` is deliberate: comparisons against the
-lifted closed form isolate method error from quadrature error.
+beta-resolvent of K read backwards from T.  The oracle reads it, and the
+terminal mean's response to x0, off the resolvent of the trapezoidal column
+that ``deterministic_mean`` uses, in O(n_steps) memory and with no sweep of
+its own.  Sharing the trapezoidal weights with ``deterministic_mean`` is
+deliberate: comparisons against the lifted closed form isolate method error
+from quadrature error.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ import numpy as np
 
 from .control import ControlProblem
 from .errors import NumericRangeError
-from .simulate import (TimeGrid, _control_values, _kernel_table, _terminal_states,
-                       _volterra_solve, deterministic_mean)
+from .simulate import (TimeGrid, _control_values, _kernel_table, _resolvent, _terminal_states,
+                       deterministic_mean)
 
 
 @dataclass(frozen=True)
@@ -81,23 +83,23 @@ def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
     m = (I + beta A)^{-1} (x0 + alpha A u) is affine in u and the cost
     -a1 sum_i w_i u_i**2 is strictly concave, so stationarity gives
 
-        u*_i = alpha a2 b_i / (2 a1 w_i),   b = last row of (I + beta A)^{-1} A.
+        u*_i = alpha a2 b_i / (2 a1 w_i),   b = last row of (I + beta A)^{-1} A,
 
-    Column j of (I + beta A)^{-1} A solves the mean equation with x0 = 0 and
-    forcing e_j.  Columns j >= 1 of A are shifts of column 1, so one sweep
-    with the forcings e_0, e_1 and (x0 = 1) zero gives b_0, b_j = r_{N-j+1}
-    for j >= 1, and y = (I + beta A)^{-1} 1, with m_N = x0 y_N + alpha b . u*.
-    Memory is O(n_steps), so the grid has no step cap.
+    and m_N = x0 y_N + alpha b . u* with y = (I + beta A)^{-1} 1.  Both are
+    read off rho = dt r, r the resolvent of the trapezoidal column (K_0/2,
+    K_1, .., K_N): b_j = rho_{N-j} for j >= 1, b_0 = dt (K_N - beta
+    sum_j rho_{N-j} K_j) / 2 and y_N = 1 - beta dt K_N / 2 - beta sum_j
+    rho_{N-j} (1 - beta dt K_j / 2), sums over j = 1..N.  Memory is
+    O(n_steps), so the grid has no step cap.
     """
-    n_steps = grid.n_steps
-    dt = grid.dt
+    n_steps, dt, beta = grid.n_steps, grid.dt, problem.beta
     ktab = _kernel_table(problem, grid)
-    v = np.zeros((n_steps + 1, 3))
-    v[0, 0] = v[1, 1] = 1.0
-    sweep = _volterra_solve(ktab, dt, problem.beta, np.array([0.0, 0.0, 1.0]), v)
-    b = np.concatenate((sweep[-1:, 0], sweep[:0:-1, 1]))
+    rho = dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), beta * dt)
+    back = rho[n_steps - 1 :: -1]  # rho_{N-j}, j = 1..N
+    b = np.concatenate(([0.5 * dt * (ktab[-1] - beta * (back @ ktab[1:]))], back))
+    y_N = 1.0 - 0.5 * beta * dt * ktab[-1] - beta * (back @ (1.0 - 0.5 * beta * dt * ktab[1:]))
     w = _trapezoid_weights(n_steps, dt)
     u_star = problem.alpha * problem.a2 * b / (2.0 * problem.a1 * w)
-    m_T = problem.x0 * sweep[-1, 2] + problem.alpha * float(np.dot(b, u_star))
+    m_T = problem.x0 * y_N + problem.alpha * float(np.dot(b, u_star))
     j_opt = -problem.a1 * float(np.dot(w, u_star**2)) + problem.a2 * m_T
     return OracleSolution(grid=grid, u_values=u_star, j_opt=j_opt)

@@ -32,12 +32,13 @@ across versions, and ``tests/test_simulate.py`` pins a digest to notice.
 State and forcing are stored time-major (steps x paths).  The scheme is
 linear in X, so its feedback folds into the kernel: X_i = x0 +
 sum_{j<i} r[i-j] G_j, with G_j = (alpha u_j - beta x0) dt + sigma dW_j and r
-the scheme's discrete resolvent (``_resolvent``; the kernel table when
-beta == 0).  ``simulate_paths`` writes the increments straight into rows
-1..N of the path array, then runs fixed ``_BLOCK_PATHS`` column blocks in
-the calling thread, on BLAS threads; each block copies out its own forcing
-and writes X in row stripes of doubling height, each one GEMM against a
-Toeplitz block of r, small enough at CLI sizes to stay on one BLAS thread.
+the scheme's discrete resolvent (``_resolvent`` of the left-endpoint column,
+below; the kernel table when beta == 0).  ``simulate_paths`` writes the
+increments straight into rows 1..N of the path array, then runs fixed
+``_BLOCK_PATHS`` column blocks in the calling thread, on BLAS threads; each
+block copies out its own forcing and writes X in row stripes of doubling
+height, each one GEMM against a Toeplitz block of r, small enough at CLI
+sizes to stay on one BLAS thread.
 The path count is padded to a multiple of ``_PAD`` with extra paths of the
 last chunk, dropped afterwards: every real path sees the same BLAS tiling, so
 its values are bit-identical whatever the thread count or ``n_paths``.
@@ -52,10 +53,15 @@ stripes' 0.63 * N**2.  X(T) of path p matches ``simulate_paths``'s
 ``paths[p, -1]`` to rounding and, like it, depends neither on the thread
 count nor on ``n_paths``.
 
-The deterministic mean, and the LQ oracle in ``objective``, solve linear
-Volterra equations of the second kind with one trapezoidal product-quadrature
-sweep, ``_volterra_solve``: O(n_steps) memory, one division by the K(0)
-pivot per step, several right-hand sides swept together.
+There is one discrete Volterra recursion, ``_resolvent(a, beta dt)``: ``a``
+is the first column of a quadrature's lower-triangular Toeplitz matrix, and
+r[m] (1 + beta dt a[0]) = a[m] - beta dt sum_{l=1}^{m} a[l] r[m-l], one
+contiguous dot per step and O(n_steps) memory.  A quadrature is its column.
+The simulator and ``_terminal_states`` pass the left-endpoint column
+(0, K_1, .., K_N), whose pivot is 1.  The deterministic mean, and the LQ
+oracle in ``objective``, pass the trapezoidal column (K_0/2, K_1, .., K_N):
+the mean is then one convolution of dt r with the forcing, and the oracle
+reads its weights off dt r.  A zero pivot raises ``NumericRangeError``.
 """
 
 import math
@@ -208,44 +214,23 @@ def _kernel_table(problem: ControlProblem, grid: TimeGrid) -> np.ndarray:
     return ktab
 
 
-def _volterra_solve(ktab: np.ndarray, dt: float, beta: float, x0, v: np.ndarray) -> np.ndarray:
-    """Solve m = x0 + A (v - beta m) on the grid, every column of ``v`` at once.
+def _resolvent(a: np.ndarray, beta_dt: float) -> np.ndarray:
+    """r[m] (1 + beta dt a[0]) = a[m] - beta dt sum_{l=1}^{m} a[l] r[m-l].
 
-    A is the trapezoidal product-quadrature operator: row i integrates
-    K(t_i - s) f(s) over [0, t_i] with half weights on t_0 and t_i, and row 0
-    is empty.  Sweeping i upward, m_i enters row i only through the diagonal
-    K(0) dt / 2, so each step divides by the pivot 1 + beta K(0) dt / 2.
-    ``v`` has shape (n_steps + 1,) or (n_steps + 1, k); ``x0`` is a scalar or
-    one value per column.
+    ``a`` is the first column of a quadrature's lower-triangular Toeplitz
+    matrix T, a[0] on the diagonal, and r is the first column of
+    (I + beta dt T)^{-1} T, the discrete resolvent.  At beta == 0, r is a.
     """
-    n = len(ktab) - 1
-    pivot = 1.0 + beta * ktab[0] * dt / 2.0
+    pivot = 1.0 + beta_dt * a[0]
     if pivot == 0.0:
-        raise NumericRangeError("singular step in the Volterra sweep")
-    wk = dt * ktab[:0:-1]  # wk[n - l] = dt K(l dt), l = 1..n
-    m = np.empty(v.shape)
-    f = np.empty(v.shape)  # f = v - beta m, final up to the current step
-    m[0] = x0
-    f[0] = v[0] - beta * m[0]
-    # everything but the interior history: x0, the t_0 and the t_i half weights
-    known = x0 + np.multiply.outer(0.5 * dt * ktab, f[0]) + 0.5 * dt * ktab[0] * v
-    for i in range(1, n + 1):
-        m[i] = (known[i] + wk[n - i + 1 :] @ f[1:i]) / pivot
-        f[i] = v[i] - beta * m[i]
-    return m
-
-
-def _resolvent(ktab: np.ndarray, beta_dt: float) -> np.ndarray:
-    """r[0] = 0, r[m] = K(m dt) - beta dt sum_{l=1}^{m-1} K(l dt) r[m-l].
-
-    Folding the feedback -beta dt (X_j - x0) into the kernel leaves
-    X_i - x0 = sum_{j<i} r[i-j] G_j.  At beta == 0, r[1:] is the kernel table's.
-    """
-    bk = beta_dt * ktab  # exact zeros at beta == 0, whatever r holds
-    r = np.zeros(len(ktab))
+        raise NumericRangeError("singular step in the Volterra recursion")
+    n = len(a) - 1
+    ba = (beta_dt * a)[::-1].copy()  # ba[n - l] = beta dt a[l]: one forward dot per step
+    r = np.empty(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects non-finite states
-        for m in range(1, len(ktab)):
-            r[m] = ktab[m] - bk[1:m] @ r[m - 1 : 0 : -1]
+        r[0] = a[0] / pivot
+        for m in range(1, n + 1):
+            r[m] = (a[m] - np.dot(r[:m], ba[n - m : n])) / pivot
     return r
 
 
@@ -291,9 +276,9 @@ def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: in
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     n_steps = grid.n_steps
     dt = grid.dt
-    ktab = _kernel_table(problem, grid)
+    a = np.concatenate(([0.0], _kernel_table(problem, grid)[1:]))  # left endpoint: no diagonal
     ctl = _control_values(control, grid.nodes[:-1])
-    rr = np.concatenate((_resolvent(ktab, problem.beta * dt)[:0:-1], np.zeros(n_steps)))
+    rr = np.concatenate((_resolvent(a, problem.beta * dt)[:0:-1], np.zeros(n_steps)))
     n_padded = -(-n_paths // _PAD) * _PAD
     X = np.empty((n_steps + 1, n_padded))
     gaussian_increments(seed, n_padded, n_steps, dt, out=X[1:])
@@ -328,7 +313,8 @@ def _terminal_states(problem: ControlProblem, ctl: np.ndarray, grid: TimeGrid, n
     sqrt(dt) w.
     """
     n_steps, dt = grid.n_steps, grid.dt
-    w = _resolvent(_kernel_table(problem, grid), problem.beta * dt)[:0:-1]
+    a = np.concatenate(([0.0], _kernel_table(problem, grid)[1:]))  # left endpoint: no diagonal
+    w = _resolvent(a, problem.beta * dt)[:0:-1]
     drift = problem.alpha * dt * ctl - problem.beta * dt * problem.x0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite X(T) is rejected below
         base = problem.x0 + w @ drift
@@ -353,7 +339,15 @@ def _terminal_states(problem: ControlProblem, ctl: np.ndarray, grid: TimeGrid, n
 
 
 def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:
-    """Mean goodwill on the grid via trapezoidal product quadrature."""
+    """Mean goodwill on the grid via trapezoidal product quadrature.
+
+    With v = alpha u, rho = dt r of the trapezoidal column (K_0/2, K_1, ..,
+    K_N) and s_i = x0 + dt K_i (v_0 - beta x0) / 2 the t_0 term, m_0 = x0 and
+    m_i = s_i + sum_{j=1}^{i} rho[i-j] (v_j - beta s_j): one convolution.
+    """
     ktab = _kernel_table(problem, grid)
-    u = _control_values(control, grid.nodes)
-    return _volterra_solve(ktab, grid.dt, problem.beta, problem.x0, problem.alpha * u)
+    v = problem.alpha * _control_values(control, grid.nodes)
+    beta, dt, x0 = problem.beta, grid.dt, problem.x0
+    rho = dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), beta * dt)
+    s = x0 + 0.5 * dt * ktab[1:] * (v[0] - beta * x0)
+    return np.concatenate(([x0], s + np.convolve(rho[:-1], v[1:] - beta * s)[: grid.n_steps]))

@@ -8,6 +8,7 @@ from voctrl import (
     FractionalKernel,
     MonomialKernel,
     NumericRangeError,
+    PolynomialKernel,
     SimulationError,
     TimeGrid,
     bernstein_kernel,
@@ -100,6 +101,16 @@ def test_monte_carlo_overflow_names_path_at_horizon():
     problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=1e300, x0=1.0)
     with pytest.raises(SimulationError, match=r"on path 0 at step 20 \(t = 2\)"):
         evaluate_J_mc(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
+
+
+def test_zero_pivot_is_numeric_range_error():
+    # K = -2, beta = 1, dt = 1: the trapezoidal diagonal 1 + beta dt K(0) / 2 is 0
+    problem = make_problem(PolynomialKernel(T=2.0, coeffs=(-2.0,)), beta=1.0)
+    grid = TimeGrid(T=2.0, dt=1.0)
+    with pytest.raises(NumericRangeError):
+        deterministic_mean(problem, zero, grid)
+    with pytest.raises(NumericRangeError):
+        lq_oracle(problem, grid)
 
 
 def test_monte_carlo_needs_two_paths(fractional_kernel):

@@ -217,13 +217,26 @@ def test_resolvent_of_constant_kernel_is_geometric():
     m = np.arange(1, grid.n_steps + 1)
     for beta in [1.0, 10.0, 100.0]:
         problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=beta)
-        r = _resolvent(_kernel_table(problem, grid), beta * grid.dt)
+        r = _resolvent(np.concatenate(([0.0], _kernel_table(problem, grid)[1:])), beta * grid.dt)
         expected = (1.0 - beta * grid.dt) ** (m - 1)
         assert r[0] == 0.0
         assert np.abs(r[1:] - expected).max() <= 1e-13 * np.abs(expected).max()
     # beta = 0: no feedback to fold in, the kernel table itself (K(0) = 0 here)
     ktab = _kernel_table(make_problem(FractionalKernel(T=2.0, exponent=0.3), beta=0.0), grid)
     assert np.array_equal(_resolvent(ktab, 0.0), ktab)
+    # the trapezoidal column (K(0)/2, K(dt), ...): with h = beta dt and
+    # q = (2 - h) / (2 + h), r[0] = 1 / (2 + h) and r[m] = 4 q^(m-1) / (2 + h)^2.
+    # Over 2000 steps at h = 3 it stays bounded, |q| < 1, while the
+    # left-endpoint r = (1 - h)^(m-1) = (-2)^(m-1) overflows
+    grid = TimeGrid(T=2.0, dt=0.001)
+    ktab = _kernel_table(make_problem(MonomialKernel(T=2.0, degree=0)), grid)
+    m = np.arange(1, grid.n_steps + 1)
+    for h in [0.02, 0.2, 3.0]:
+        q = (2.0 - h) / (2.0 + h)
+        expected = np.concatenate(([1.0 / (2.0 + h)], 4.0 * q ** (m - 1) / (2.0 + h) ** 2))
+        r = _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), h)
+        assert np.abs(r - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert not np.all(np.isfinite(_resolvent(np.concatenate(([0.0], ktab[1:])), 3.0)))
 
 
 def test_reruns_are_bit_identical(fractional_kernel):
