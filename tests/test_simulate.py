@@ -3,6 +3,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular, toeplitz
 
 from voctrl import (
     DomainError,
@@ -237,6 +238,54 @@ def test_resolvent_of_constant_kernel_is_geometric():
         r = _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), h)
         assert np.abs(r - expected).max() <= 1e-13 * np.abs(expected).max()
     assert not np.all(np.isfinite(_resolvent(np.concatenate(([0.0], ktab[1:])), 3.0)))
+
+
+def resolvent_columns(n):
+    """Trapezoidal t^0.3, left-endpoint t^0.3 and left-endpoint K = 1 columns
+    of n entries; the last grows like (1 - h)^m at h > 2."""
+    k = (np.arange(n) * 0.01) ** 0.3
+    return {"trap-t^0.3": np.concatenate(([0.5 * k[0]], k[1:])),
+            "left-t^0.3": np.concatenate(([0.0], k[1:])),
+            "left-K=1": np.concatenate(([0.0], np.ones(n - 1)))}
+
+
+@pytest.mark.parametrize("h", [0.0, 0.3, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 300])
+def test_resolvent_matches_dense_triangular_solve(n, h):
+    # (I + h T) r = a with T the lower-triangular Toeplitz matrix of a; the
+    # lengths straddle the 64-entry block edges
+    for name, a in resolvent_columns(n).items():
+        ref = solve_triangular(np.eye(n) + h * toeplitz(a, np.zeros(n)), a, lower=True)
+        assert np.abs(_resolvent(a, h) - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+def scalar_resolvent(a, h):
+    """The one-dot-per-step recursion the blocked solve starts with."""
+    pivot = 1.0 + h * a[0]
+    n = len(a) - 1
+    ba = (h * a)[::-1].copy()
+    r = np.empty(n + 1)
+    r[0] = a[0] / pivot
+    for m in range(1, n + 1):
+        r[m] = (a[m] - np.dot(r[:m], ba[n - m : n])) / pivot
+    return r
+
+
+@pytest.mark.parametrize("h", [0.3, 2.5])
+def test_resolvent_blocks_are_exact(h):
+    for name, a in resolvent_columns(300).items():
+        full = _resolvent(a, h)
+        # a prefix of the column gives the prefix of r, bit for bit, on both
+        # sides of every block edge
+        for k in [1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 299]:
+            assert np.array_equal(_resolvent(a[:k], h), full[:k]), (name, k)
+        # one block is the scalar recursion itself
+        for k in [1, 2, 17, 63, 64]:
+            assert np.array_equal(_resolvent(a[:k], h), scalar_resolvent(a[:k], h)), (name, k)
+    # no feedback: r is the column itself across several blocks
+    a = resolvent_columns(2001)["trap-t^0.3"]
+    for k in [65, 129, 2001]:
+        assert np.array_equal(_resolvent(a[:k], 0.0), a[:k])
 
 
 def test_reruns_are_bit_identical(fractional_kernel):
