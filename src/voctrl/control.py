@@ -183,7 +183,8 @@ def truncation_error_bound(lk: LiftedKernel, T: float, t: float, M: int) -> floa
         raise NumericRangeError(
             f"M={M} below operator-norm threshold {x:.6g}; the tail bound needs M >= (T-t)*|Abar|"
         )
-    gnorm = float(np.sqrt(np.dot(lk.g, lk.g)))
+    with np.errstate(over="ignore"):  # |g|**2 past the float range: an infinite bound still holds
+        gnorm = float(np.sqrt(np.dot(lk.g, lk.g)))
     return gnorm * math.exp(x) * -math.expm1(-x / (M + 1))
 
 

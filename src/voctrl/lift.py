@@ -85,6 +85,9 @@ def operator_norm_bound(lk: LiftedKernel) -> float:
     """Upper bound on the operator norm of Abar.
 
     The shift is an isometry and the rank-one feedback has norm beta * |g|
-    (nu is a unit vector), so 1 + beta * |g| dominates.
+    (nu is a unit vector), so 1 + beta * |g| dominates.  At beta == 0 that
+    is 1 even where |g| overflows.
     """
+    if lk.beta == 0.0:
+        return 1.0
     return 1.0 + lk.beta * float(np.sqrt(np.dot(lk.g, lk.g)))

@@ -1,9 +1,10 @@
 """Objective evaluation and an independent discretized optimizer.
 
 J(u) = E[-a1 int_0^T u(s)**2 ds + a2 X(T)] is evaluated two ways:
-deterministically through the mean equation (the noise is centered, so sigma
-drops out) and by Monte-Carlo over the simulated terminal states X(T): each
-noise draw is reduced to X(T) as it is drawn, so no path is ever formed.
+deterministically as ``lq_oracle``'s optimum less a1 sum_i w_i (u_i - u*_i)**2
+(the noise is centered, so sigma drops out), and by Monte-Carlo over the
+simulated terminal states X(T): each noise draw is reduced to X(T) as it is
+drawn, so no path is ever formed.
 
 ``lq_oracle`` maximizes the fully discretized functional directly.  The mean
 is affine in the control through the trapezoidal quadrature operator and the
@@ -22,8 +23,7 @@ import numpy as np
 
 from .control import ControlProblem
 from .errors import NumericRangeError
-from .simulate import (TimeGrid, _control_values, _kernel_table, _resolvent, _terminal_states,
-                       deterministic_mean)
+from .simulate import TimeGrid, _control_values, _kernel_table, _resolvent, _terminal_states
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,14 @@ def _trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
 
 
 def evaluate_J_deterministic(problem: ControlProblem, control, grid: TimeGrid) -> ObjectiveReport:
-    """J for a deterministic control: -a1 * trapz(u**2) + a2 * m(T)."""
-    m = deterministic_mean(problem, control, grid)
+    """J for a deterministic control: -a1 trapz(u**2) + a2 m(T), which is
+    exactly J* - a1 sum_i w_i (u_i - u*_i)**2 with (J*, u*) from ``lq_oracle``:
+    J is a concave quadratic in u, stationary where alpha a2 b = 2 a1 w u*.
+    The control is evaluated once, on the nodes."""
+    oracle = lq_oracle(problem, grid)
     u = _control_values(control, grid.nodes)
     w = _trapezoid_weights(grid.n_steps, grid.dt)
-    j = -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * m[-1]
+    j = oracle.j_opt - problem.a1 * float(np.dot(w, (u - oracle.u_values) ** 2))
     return ObjectiveReport(j_estimate=j, std_error=0.0, method="deterministic")
 
 
@@ -89,17 +92,23 @@ def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
     read off rho = dt r, r the resolvent of the trapezoidal column (K_0/2,
     K_1, .., K_N): b_j = rho_{N-j} for j >= 1, b_0 = dt (K_N - beta
     sum_j rho_{N-j} K_j) / 2 and y_N = 1 - beta dt K_N / 2 - beta sum_j
-    rho_{N-j} (1 - beta dt K_j / 2), sums over j = 1..N.  Memory is
-    O(n_steps), so the grid has no step cap.
+    rho_{N-j} (1 - beta dt K_j / 2), sums over j = 1..N; beta multiplies
+    rho before each dot, so at beta == 0 those terms are exact zeros even
+    where the dot itself would overflow.  Memory is O(n_steps), so the grid
+    has no step cap.  A non-finite u* or optimum raises ``NumericRangeError``.
     """
     n_steps, dt, beta = grid.n_steps, grid.dt, problem.beta
     ktab = _kernel_table(problem, grid)
-    rho = dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), beta * dt)
-    back = rho[n_steps - 1 :: -1]  # rho_{N-j}, j = 1..N
-    b = np.concatenate(([0.5 * dt * (ktab[-1] - beta * (back @ ktab[1:]))], back))
-    y_N = 1.0 - 0.5 * beta * dt * ktab[-1] - beta * (back @ (1.0 - 0.5 * beta * dt * ktab[1:]))
-    w = _trapezoid_weights(n_steps, dt)
-    u_star = problem.alpha * problem.a2 * b / (2.0 * problem.a1 * w)
-    m_T = problem.x0 * y_N + problem.alpha * float(np.dot(b, u_star))
-    j_opt = -problem.a1 * float(np.dot(w, u_star**2)) + problem.a2 * m_T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite optimum is rejected below
+        rho = dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), beta * dt)
+        back = rho[n_steps - 1 :: -1]  # rho_{N-j}, j = 1..N
+        beta_back = beta * back
+        b = np.concatenate(([0.5 * dt * (ktab[-1] - beta_back @ ktab[1:])], back))
+        y_N = 1.0 - 0.5 * beta * dt * ktab[-1] - beta_back @ (1.0 - 0.5 * beta * dt * ktab[1:])
+        w = _trapezoid_weights(n_steps, dt)
+        u_star = problem.alpha * problem.a2 * b / (2.0 * problem.a1 * w)
+        m_T = problem.x0 * y_N + problem.alpha * float(np.dot(b, u_star))
+        j_opt = -problem.a1 * float(np.dot(w, u_star**2)) + problem.a2 * m_T
+    if not (np.isfinite(j_opt) and np.all(np.isfinite(u_star))):
+        raise NumericRangeError("the discretized optimum is out of floating-point range")
     return OracleSolution(grid=grid, u_values=u_star, j_opt=j_opt)

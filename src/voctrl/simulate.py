@@ -367,10 +367,18 @@ def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.n
     With v = alpha u, rho = dt r of the trapezoidal column (K_0/2, K_1, ..,
     K_N) and s_i = x0 + dt K_i (v_0 - beta x0) / 2 the t_0 term, m_0 = x0 and
     m_i = s_i + sum_{j=1}^{i} rho[i-j] (v_j - beta s_j): one convolution.
+    A non-finite m_i raises ``NumericRangeError`` naming the first such step.
     """
     ktab = _kernel_table(problem, grid)
     v = problem.alpha * _control_values(control, grid.nodes)
     beta, dt, x0 = problem.beta, grid.dt, problem.x0
-    rho = dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), beta * dt)
-    s = x0 + 0.5 * dt * ktab[1:] * (v[0] - beta * x0)
-    return np.concatenate(([x0], s + np.convolve(rho[:-1], v[1:] - beta * s)[: grid.n_steps]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is rejected below
+        rho = dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), beta * dt)
+        s = x0 + 0.5 * dt * ktab[1:] * (v[0] - beta * x0)
+        m = np.concatenate(([x0], s + np.convolve(rho[:-1], v[1:] - beta * s)[: grid.n_steps]))
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericRangeError(f"mean equation produced a non-finite state at step {i} "
+                                f"(t = {i * dt:.6g})")
+    return m

@@ -40,6 +40,18 @@ def uniform_grid(T, n):
     return np.linspace(0.0, T, n)
 
 
+class CountingControl:
+    """A control that records the shape of every argument it is called with."""
+
+    def __init__(self, control):
+        self.control = control
+        self.shapes = []
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return self.control(t)
+
+
 @pytest.fixture
 def bernstein_calls(monkeypatch):
     """The degree of every ``bernstein_kernel`` call, wherever voctrl holds it."""

@@ -409,6 +409,16 @@ def test_allocation_failure_is_numeric_range_error(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_oracle_overflow_writes_no_artifact(tmp_path, capsys):
+    # at beta = 0 the control of K = 1e160 builds, but the discretized
+    # optimum overflows: exit 3 before oracle.csv is written
+    cfg, out = write_config(tmp_path, family="polynomial", params="1e160")
+    cfg.write_text(cfg.read_text().replace("beta = 1.0", "beta = 0.0"))
+    assert main(["--config", str(cfg), "oracle"]) == 3
+    assert not (out / "oracle.csv").exists()
+    assert capsys.readouterr().err.startswith("numeric-range error:")
+
+
 def test_oracle_builds_the_bernstein_kernel_once(tmp_path, bernstein_calls):
     # the K_n problem is built once and serves the control, the oracle and J
     argv = ["--config", str(CONFIGS / "gamma.ini"), "--output-dir", str(tmp_path), "oracle"]

@@ -97,4 +97,6 @@ def test_operator_norm_bound_values():
     assert operator_norm_bound(lift_from_coefficients([0.0], beta=1.0)) == 1.0
     assert operator_norm_bound(lift_from_coefficients([1.0], beta=1.0)) == 2.0
     assert operator_norm_bound(lift_from_coefficients([0.0, 0.0, 1.0], beta=1.0)) == 3.0
+    # the pure shift, although |g|**2 = 1e320 overflows
+    assert operator_norm_bound(lift_from_coefficients([1e160], beta=0.0)) == 1.0
 

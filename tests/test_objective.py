@@ -22,7 +22,7 @@ from voctrl import (
 from voctrl.objective import _trapezoid_weights
 from voctrl.simulate import _kernel_table
 
-from .conftest import make_problem
+from .conftest import CountingControl, make_problem
 
 
 def zero(t):
@@ -50,6 +50,14 @@ def test_deterministic_objective_ignores_noise_scale(fractional_kernel):
     cp = optimal_control_poly(quiet, 10, 30)
     assert (evaluate_J_deterministic(quiet, cp, grid).j_estimate
             == evaluate_J_deterministic(loud, cp, grid).j_estimate)
+
+
+def test_deterministic_objective_calls_the_control_once(fractional_kernel):
+    problem = make_problem(fractional_kernel)
+    grid = TimeGrid(T=2.0, dt=0.05)
+    control = CountingControl(optimal_control_poly(problem, 10, 30))
+    evaluate_J_deterministic(problem, control, grid)
+    assert control.shapes == [(41,)]
 
 
 def test_monte_carlo_objective_zero_noise(fractional_kernel):
@@ -111,6 +119,22 @@ def test_zero_pivot_is_numeric_range_error():
         deterministic_mean(problem, zero, grid)
     with pytest.raises(NumericRangeError):
         lq_oracle(problem, grid)
+
+
+def test_oracle_at_beta_zero_is_finite_where_the_feedback_dot_overflows():
+    # rho . K overflows, but at beta == 0 it enters multiplied by 0; the
+    # exact u* is K / 2 = 5e153 at every node and J* = T K**2 / 4 + x0
+    problem = make_problem(PolynomialKernel(T=2.0, coeffs=(1e154,)), beta=0.0, x0=1.0)
+    oracle = lq_oracle(problem, TimeGrid(T=2.0, dt=0.1))
+    assert oracle.u_values[0] == pytest.approx(5e153, rel=1e-14)
+    assert oracle.j_opt == pytest.approx(5e307, rel=1e-14)
+
+
+def test_oracle_overflow_is_numeric_range_error():
+    # u* = 5e159, so sum w u*^2 overflows
+    problem = make_problem(PolynomialKernel(T=2.0, coeffs=(1e160,)), beta=0.0, x0=1.0)
+    with pytest.raises(NumericRangeError):
+        lq_oracle(problem, TimeGrid(T=2.0, dt=0.1))
 
 
 def test_monte_carlo_needs_two_paths(fractional_kernel):
@@ -233,6 +257,24 @@ def test_oracle_objective_consistent_with_deterministic_evaluation(fractional_ke
     cp = optimal_control_poly(problem, 10, 40)
     j_direct = evaluate_J_deterministic(problem, cp, grid).j_estimate
     assert _grid_objective(problem, grid, cp(grid.nodes)) == pytest.approx(j_direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("x0", [-0.5, 0.0, 0.5])
+def test_oracle_gap_is_the_weighted_distance_to_the_optimum(fractional_kernel, smooth_kernel,
+                                                             gamma_kernel, x0):
+    # J(u) = J* - a1 sum w (u - u*)^2 exactly on the discretized program, so
+    # the fine-mesh cross-check's J_opt - J_hat is that distance to rounding
+    grid = TimeGrid(T=2.0, dt=0.001)
+    w = _trapezoid_weights(grid.n_steps, grid.dt)
+    for kernel in (fractional_kernel, smooth_kernel, gamma_kernel):
+        problem = make_problem(kernel, x0=x0)
+        cp = optimal_control_poly(problem, 20, 50)
+        lifted = dataclasses.replace(problem, kernel=bernstein_kernel(kernel, 20))
+        oracle = lq_oracle(lifted, grid)
+        gap = oracle.j_opt - evaluate_J_deterministic(lifted, cp, grid).j_estimate
+        distance = problem.a1 * float(np.dot(w, (cp(grid.nodes) - oracle.u_values) ** 2))
+        assert gap > 0.0
+        assert abs(gap - distance) <= 1e-16
 
 
 def test_oracle_improves_on_zero_control(fractional_kernel):

@@ -9,6 +9,7 @@ from voctrl import (
     DomainError,
     FractionalKernel,
     MonomialKernel,
+    NumericRangeError,
     SimulationError,
     TimeGrid,
     deterministic_mean,
@@ -18,7 +19,7 @@ from voctrl import (
 )
 from voctrl.simulate import _control_values, _kernel_table, _resolvent, _terminal_states
 
-from .conftest import make_problem
+from .conftest import CountingControl, make_problem
 
 
 def zero(t):
@@ -424,6 +425,14 @@ def test_state_overflow_names_path_and_step():
         simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
 
 
+def test_mean_overflow_names_the_first_non_finite_step():
+    # s_1 = x0 - beta dt x0 / 2 is about -5e198, so beta s_1 overflows and
+    # m_1 is the first non-finite state
+    problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=1e200, x0=1.0)
+    with pytest.raises(NumericRangeError, match=r"at step 1 \(t = 0\.1\)"):
+        deterministic_mean(problem, zero, TimeGrid(T=2.0, dt=0.1))
+
+
 def test_grid_horizon_must_match(fractional_kernel):
     problem = make_problem(fractional_kernel)
     with pytest.raises(DomainError):
@@ -439,16 +448,6 @@ class CountingKernel(FractionalKernel):
     def __call__(self, t):
         self.shapes.append(np.shape(t))
         return super().__call__(t)
-
-
-class CountingControl:
-    def __init__(self, control):
-        self.control = control
-        self.shapes = []
-
-    def __call__(self, t):
-        self.shapes.append(np.shape(t))
-        return self.control(t)
 
 
 def test_kernel_table_is_one_array_call():
