@@ -49,13 +49,17 @@ def _write_csv(path: Path, header, columns):
                header=",".join(header), comments="")
 
 
-def _write_json(path: Path, obj):
-    """Strict sorted JSON, serialized first: a failure leaves no partial file."""
+def _json_text(path: Path, obj) -> str:
+    """Strict sorted JSON text for ``path``; a value JSON cannot hold raises."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericRangeError(f"{path}: {exc}") from None
-    path.write_text(text + "\n")
+
+
+def _write_json(path: Path, obj):
+    """Strict sorted JSON, serialized first: a failure leaves no partial file."""
+    path.write_text(_json_text(path, obj))
 
 
 def _finite_or_none(x: float):
@@ -103,18 +107,16 @@ def cmd_kernel_approx(cfg: RunConfig, grid_points: int = 400) -> list[Path]:
 
 def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
     problem = cfg.problem()
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     ts = np.linspace(0.0, problem.T, 200)
-    written = []
-    multi = len(ns) > 1
+    files = []  # (path, JSON text or CSV header and columns): all built before any is written
     for n in ns:
         cp = _control(cfg, problem, n)
         vf = value_function(problem, cp)
-        stem = f"control_n{n}" if multi else "control"
-        csv_path = out / f"{stem}.csv"
-        _write_csv(csv_path, ["t", "u_hat"], (ts, cp(ts)))
+        stem = f"control_n{n}" if len(ns) > 1 else "control"
+        files.append((out / f"{stem}.csv", (["t", "u_hat"], (ts, cp(ts)))))
         json_path = out / f"{stem}.json"
-        _write_json(json_path, {
+        files.append((json_path, _json_text(json_path, {
             "scale": cp.scale,
             "coeffs": list(map(float, cp.coeffs)),
             "M": cp.M,
@@ -122,13 +124,17 @@ def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
             "trunc_bound": _finite_or_none(cp.trunc_bound_at_0),
             "bound_valid": cp.bound_valid,
             "predicted_optimal_J": vf.predicted_optimal_J,
-        })
-        written += [csv_path, json_path]
+        })))
     if isinstance(problem.kernel, MonomialKernel):
-        ref_path = out / "control_reference.csv"
-        _write_csv(ref_path, ["t", "u_exact"], (ts, monomial_closed_form(problem, ts)))
-        written.append(ref_path)
-    return written
+        files.append((out / "control_reference.csv",
+                      (["t", "u_exact"], (ts, monomial_closed_form(problem, ts)))))
+    _out_dir(cfg)
+    for path, content in files:
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            _write_csv(path, *content)
+    return [path for path, _ in files]
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:

@@ -240,14 +240,18 @@ def value_function(problem: ControlProblem, control: ControlPolynomial) -> Value
 
     computed with composite Simpson on 1000 intervals (the integrand is a
     smooth polynomial, so the fixed rule is already negligible error).  The
-    predicted optimum of the maximization problem is a2 * x0 - c0.
+    predicted optimum of the maximization problem is a2 * x0 - c0.  A
+    non-finite c0 raises ``NumericRangeError``.
     """
     n_intervals = 1000  # even, as composite Simpson needs
     ts = np.linspace(0.0, problem.T, n_intervals + 1)
     u = control(ts)
-    integrand = 2.0 * problem.a1 * problem.beta * problem.x0 * u / problem.alpha - problem.a1 * u**2
     weights = np.ones(n_intervals + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    c0 = float(problem.T / n_intervals / 3.0 * np.dot(weights, integrand))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite c0 is rejected below
+        integrand = 2.0 * problem.a1 * problem.beta * problem.x0 * u / problem.alpha - problem.a1 * u**2
+        c0 = float(problem.T / n_intervals / 3.0 * np.dot(weights, integrand))
+    if not np.isfinite(c0):
+        raise NumericRangeError("the value function's constant c0 is out of floating-point range")
     return ValueFunctionReport(c0=c0, predicted_optimal_J=problem.a2 * problem.x0 - c0)

@@ -1,20 +1,20 @@
 """Objective evaluation and an independent discretized optimizer.
 
-J(u) = E[-a1 int_0^T u(s)**2 ds + a2 X(T)] is evaluated two ways:
-deterministically as ``lq_oracle``'s optimum less a1 sum_i w_i (u_i - u*_i)**2
-(the noise is centered, so sigma drops out), and by Monte-Carlo over the
-simulated terminal states X(T): each noise draw is reduced to X(T) as it is
-drawn, so no path is ever formed.
+J(u) = E[-a1 int_0^T u(s)**2 ds + a2 X(T)] is evaluated on the one scheme of
+``simulate`` two ways: deterministically as ``lq_oracle``'s optimum less a1
+sum_i w_i (u_i - u*_i)**2, and by Monte-Carlo over the terminal states X(T),
+each noise draw reduced to X(T) as it is drawn.  The scheme's X(T) is its
+mean m_N plus centered noise, so sigma drops out of the first, and the second
+estimates it without bias.
 
 ``lq_oracle`` maximizes the fully discretized functional directly.  The mean
 is affine in the control through the trapezoidal quadrature operator and the
 cost is a positive diagonal quadratic, so the maximizer is the discrete
 beta-resolvent of K read backwards from T.  The oracle reads it, and the
-terminal mean's response to x0, off the resolvent of the trapezoidal column
-that ``deterministic_mean`` uses, in O(n_steps) memory and with no sweep of
-its own.  Sharing the trapezoidal weights with ``deterministic_mean`` is
-deliberate: comparisons against the lifted closed form isolate method error
-from quadrature error.
+terminal mean's response to x0, off rho of ``_trapezoid_resolvent``, the one
+solve that the simulator's mean and noise column come from, in O(n_steps)
+memory.  Sharing the scheme is deliberate: comparisons against the lifted
+closed form isolate method error from quadrature error.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ import numpy as np
 
 from .control import ControlProblem
 from .errors import NumericRangeError
-from .simulate import TimeGrid, _control_values, _kernel_table, _resolvent, _terminal_states
+from .simulate import TimeGrid, _control_values, _terminal_states, _trapezoid_resolvent
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def evaluate_J_mc(problem: ControlProblem, control, grid: TimeGrid, n_paths: int
         raise NumericRangeError(f"n_paths must be >= 2, got {n_paths}")
     u = _control_values(control, grid.nodes)
     w = _trapezoid_weights(grid.n_steps, grid.dt)
-    xT = _terminal_states(problem, u[:-1], grid, n_paths, seed)
+    xT = _terminal_states(problem, u, grid, n_paths, seed)
     j = -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * float(xT.mean())
     se = problem.a2 * float(xT.std(ddof=1)) / np.sqrt(n_paths)
     return ObjectiveReport(j_estimate=j, std_error=se, method="monte_carlo", n_paths=n_paths, seed=seed)
@@ -82,25 +82,23 @@ class OracleSolution:
 def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
     """Exact maximizer of the discretized objective.
 
-    With A the trapezoidal quadrature operator of ``deterministic_mean``,
-    m = (I + beta A)^{-1} (x0 + alpha A u) is affine in u and the cost
-    -a1 sum_i w_i u_i**2 is strictly concave, so stationarity gives
+    With A the scheme's trapezoidal operator, m = (I + beta A)^{-1} (x0 +
+    alpha A u) is affine in u and the cost -a1 sum_i w_i u_i**2 is strictly
+    concave, so stationarity gives
 
         u*_i = alpha a2 b_i / (2 a1 w_i),   b = last row of (I + beta A)^{-1} A,
 
     and m_N = x0 y_N + alpha b . u* with y = (I + beta A)^{-1} 1.  Both are
-    read off rho = dt r, r the resolvent of the trapezoidal column (K_0/2,
-    K_1, .., K_N): b_j = rho_{N-j} for j >= 1, b_0 = dt (K_N - beta
-    sum_j rho_{N-j} K_j) / 2 and y_N = 1 - beta dt K_N / 2 - beta sum_j
-    rho_{N-j} (1 - beta dt K_j / 2), sums over j = 1..N; beta multiplies
-    rho before each dot, so at beta == 0 those terms are exact zeros even
-    where the dot itself would overflow.  Memory is O(n_steps), so the grid
-    has no step cap.  A non-finite u* or optimum raises ``NumericRangeError``.
+    read off rho of ``_trapezoid_resolvent``: b_j = rho_{N-j} for j >= 1, b_0
+    = dt (K_N - beta sum_j rho_{N-j} K_j) / 2 and y_N = 1 - beta dt K_N / 2 -
+    beta sum_j rho_{N-j} (1 - beta dt K_j / 2), sums over j = 1..N; beta
+    multiplies rho before each dot, so at beta == 0 those terms are exact
+    zeros even where the dot would overflow.  Memory is O(n_steps).  A
+    non-finite u* or optimum raises ``NumericRangeError``.
     """
     n_steps, dt, beta = grid.n_steps, grid.dt, problem.beta
-    ktab = _kernel_table(problem, grid)
+    ktab, rho = _trapezoid_resolvent(problem, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite optimum is rejected below
-        rho = dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), beta * dt)
         back = rho[n_steps - 1 :: -1]  # rho_{N-j}, j = 1..N
         beta_back = beta * back
         b = np.concatenate(([0.5 * dt * (ktab[-1] - beta_back @ ktab[1:])], back))

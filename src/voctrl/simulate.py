@@ -5,69 +5,63 @@ The state follows the stochastic convolution equation
     X(t) = x0 + int_0^t K(t-s)(alpha u(s) - beta X(s)) ds
               + sigma int_0^t K(t-s) dW(s),
 
-discretized with a left-endpoint rule so no step ever references a future
-Brownian increment:
+discretized by trapezoidal product quadrature in the drift and the
+left-endpoint rule in the noise, so no step references a future Brownian
+increment.  With g_j = alpha u_j - beta X_j,
 
-    X_i = x0 + sum_{j<i} K(t_i - t_j) g_j,
-    g_j = (alpha u_j - beta X_j) dt + sigma dW_j.
+    X_i = x0 + dt (K_i g_0 / 2 + sum_{0<j<i} K_{i-j} g_j + K_0 g_i / 2)
+             + sigma sum_{j<i} K_{i-j} dW_j.
 
-Noise comes in fixed chunks of ``_BLOCK_PATHS`` paths, and each chunk has
-its own stream: Philox keyed by the seed, with the chunk index in the top
-word of the 256-bit counter, so chunk c starts c * 2**192 blocks into the
-seed's counter space and no two chunks can overlap.  A chunk draws its paths
-in order, n_steps standard normals each (numpy's ziggurat), so path p is a
-pure function of (seed, p // _BLOCK_PATHS, p mod _BLOCK_PATHS): it depends
-neither on the thread count nor on n_paths.  The ziggurat takes a variable
-number of words per value, so a path cannot be drawn without the ones before
-it in its chunk.  ``_chunk_draws`` is that stream, and ``_on_chunks`` runs
-one function per chunk on a thread pool (the draws release the GIL) of
-``VOC_THREADS`` threads, the only thread setting, by default as many as the
-usable CPUs; each chunk draws 512 paths at a time into one reused buffer, so
-no chunk-sized temporary is ever held.  ``gaussian_increments`` and
-``_terminal_states`` are the two consumers of these draws.
-Re-runs under one numpy build are byte-identical.  Across numpy versions
-they need not be: NEP 19 does not promise ``Generator`` distribution streams
-across versions, and ``tests/test_simulate.py`` pins a digest to notice.
+The scheme is linear in X, so X = m + Y with m its mean and (I + beta A) Y
+= sigma L dW, A the trapezoidal operator and L the left-endpoint one.  Y_0 =
+0, so A's half weight at t_0 never acts on Y, and (I + beta A)^{-1} = I -
+beta P with P the Toeplitz matrix of rho = dt r, r the resolvent of the
+trapezoidal column (K_0/2, K_1, .., K_N).  So
 
-State and forcing are stored time-major (steps x paths).  The scheme is
-linear in X, so its feedback folds into the kernel: X_i = x0 +
-sum_{j<i} r[i-j] G_j, with G_j = (alpha u_j - beta x0) dt + sigma dW_j and r
-the scheme's discrete resolvent (``_resolvent`` of the left-endpoint column,
-below; the kernel table when beta == 0).  ``simulate_paths`` writes the
-increments straight into rows 1..N of the path array, then runs fixed
-``_BLOCK_PATHS`` column blocks in the calling thread, on BLAS threads; each
-block copies out its own forcing and writes X in row stripes of doubling
-height, each one GEMM against a Toeplitz block of r, small enough at CLI
-sizes to stay on one BLAS thread.
+    X_i = m_i + sigma sum_{j<i} c[i-j] dW_j,   c = K_left - beta rho * K_left,
+
+with K_left = (0, K_1, .., K_N) and * the convolution cut to N + 1 entries.
+``_scheme`` gives (m, c) from the one (kernel table, rho) solve of
+``_trapezoid_resolvent``, which the LQ oracle in ``objective`` shares.
+
+Noise comes in fixed chunks of ``_BLOCK_PATHS`` paths, each with its own
+stream: Philox keyed by the seed, with the chunk index in the top word of the
+256-bit counter, so chunk c starts c * 2**192 blocks into the seed's counter
+space and no two chunks can overlap.  A chunk draws its paths in order,
+n_steps standard normals each (numpy's ziggurat, which takes a variable number
+of words per value, so a path needs the ones before it in its chunk): path p
+is a pure function of (seed, p // _BLOCK_PATHS, p mod _BLOCK_PATHS), whatever
+the thread count or n_paths.  ``_chunk_draws`` is that stream, and
+``_on_chunks`` runs one function per chunk on ``VOC_THREADS`` threads (the
+draws release the GIL), by default as many as the usable CPUs, for the two
+consumers, ``gaussian_increments`` and ``_terminal_states``.  Re-runs under
+one numpy build are byte-identical; NEP 19 does not promise ``Generator``
+streams across numpy versions, and ``tests/test_simulate.py`` pins a digest.
+
+State and noise are stored time-major (steps x paths).  ``simulate_paths``
+writes the increments straight into rows 1..N of the path array, then runs
+fixed ``_BLOCK_PATHS`` column blocks in the calling thread, on BLAS threads;
+each block copies out its own sigma dW, writes the noise convolution in row
+stripes of doubling height, each one GEMM against a Toeplitz block of c, small
+enough at CLI sizes to stay on one BLAS thread, and adds m to every row.
 The path count is padded to a multiple of ``_PAD`` with extra paths of the
 last chunk, dropped afterwards: every real path sees the same BLAS tiling, so
 its values are bit-identical whatever the thread count or ``n_paths``.
 
-A Monte-Carlo objective reads X only at T, and X_N = x0 + sum_j r[N-j] G_j
-is one weight vector dotted with each path's forcing.  ``_terminal_states``
-therefore forms the weights once and reduces every 512-path draw to X(T) in
-the thread that drew it, one fixed-order einsum dot per path and no BLAS
-call: no path or increment array exists, memory is O(threads * 512 * N + P),
-and the work is the draw plus N multiply-adds per path instead of the
-stripes' 0.63 * N**2.  X(T) of path p matches ``simulate_paths``'s
-``paths[p, -1]`` to rounding and, like it, depends neither on the thread
-count nor on ``n_paths``.
+A Monte-Carlo objective reads X only at T, and X_N = m_N + sigma sum_j
+c[N-j] dW_j is one weight vector dotted with each path's noise, so
+``_terminal_states`` reduces every 512-path draw to X(T) in the thread that
+drew it, one fixed-order einsum dot per path and no BLAS call: no path array
+exists, memory is O(threads * 512 * N + P), and the work is the draw plus N
+multiply-adds per path instead of the stripes' 0.63 * N**2.  X(T) of path p
+matches ``paths[p, -1]`` to rounding and, like it, depends neither on the
+thread count nor on ``n_paths``.
 
-There is one discrete Volterra recursion, ``_resolvent(a, beta dt)``: ``a``
-is the first column of a quadrature's lower-triangular Toeplitz matrix, and
-r[m] (1 + beta dt a[0]) = a[m] - beta dt sum_{l=1}^{m} a[l] r[m-l].  It is
-solved by block forward substitution in blocks of 64 entries: the first
-block by that scalar recursion, one dot per entry; every later block by two
-convolutions, because the block's own triangle inverts with the first column
-q = e_0 - beta dt r[:64] of (I + beta dt T_64)^{-1} (the power series 1 /
-(1 + beta dt A) is 1 - beta dt R).  The cost is still N**2 / 2 multiply-adds,
-but in C rather than one Python-level dot per step, and O(n_steps) memory.
-A quadrature is its column.
-The simulator and ``_terminal_states`` pass the left-endpoint column
-(0, K_1, .., K_N), whose pivot is 1.  The deterministic mean, and the LQ
-oracle in ``objective``, pass the trapezoidal column (K_0/2, K_1, .., K_N):
-the mean is then one convolution of dt r with the forcing, and the oracle
-reads its weights off dt r.  A zero pivot raises ``NumericRangeError``.
+``_resolvent(a, beta dt)`` is the one discrete Volterra recursion, for the
+first column ``a`` of a quadrature's lower-triangular Toeplitz matrix: block
+forward substitution in 64-entry blocks, N**2 / 2 multiply-adds in C and
+O(n_steps) memory.  The one column solved is the trapezoidal one, once per
+public call; a zero pivot raises ``NumericRangeError``.
 """
 
 import math
@@ -104,9 +98,7 @@ class TimeGrid:
         if not 0.0 < self.T < math.inf:
             raise DomainError(f"T must be positive and finite, got {self.T}")
         if abs(self.n_steps * self.dt - self.T) > 1e-12:
-            raise DomainError(
-                f"grid mesh {self.dt} does not divide horizon {self.T} evenly"
-            )
+            raise DomainError(f"grid mesh {self.dt} does not divide horizon {self.T} evenly")
 
     @property
     def n_steps(self) -> int:
@@ -224,17 +216,15 @@ def _resolvent(a: np.ndarray, beta_dt: float) -> np.ndarray:
     """r[m] (1 + beta dt a[0]) = a[m] - beta dt sum_{l=1}^{m} a[l] r[m-l].
 
     ``a`` is the first column of a quadrature's lower-triangular Toeplitz
-    matrix T, a[0] on the diagonal, and r is the first column of
-    (I + beta dt T)^{-1} T, the discrete resolvent: (I + beta dt T) r = a.
-    At beta == 0, r is a.
-
-    Block forward substitution in blocks of w = 64 entries.  r[:w] comes
-    from the scalar recursion above.  Since 1 / (1 + beta dt A) = 1 - beta dt
-    R as power series, q = e_0 - beta dt r[:w] is the first column of
-    (I + beta dt T_w)^{-1}, so each later block [k0, k1) is the Toeplitz
-    product q * (a[k0:k1] - beta dt sum_{j<k0} a[m-j] r[j]): two
-    convolutions.  The blocks sit at fixed offsets, so r of a prefix of a is
-    the prefix of r, bit for bit; a column of at most w entries gives the
+    matrix T, and r the first column of (I + beta dt T)^{-1} T, the discrete
+    resolvent.  Block forward substitution in blocks of w = 64 entries: r[:w]
+    by the scalar recursion above; since 1 / (1 + beta dt A) = 1 - beta dt R
+    as power series, q = e_0 - beta dt r[:w] is the first column of (I + beta
+    dt T_w)^{-1}, so each later block [k0, k1) is q * (a[k0:k1] - sum_{j<k0}
+    (beta dt a)[m-j] r[j]), two convolutions.  With beta dt folded into the
+    column first, r is a bit for bit at beta == 0, even where a * r
+    overflows.  The blocks sit at fixed offsets, so r of a prefix of a is the
+    prefix of r, bit for bit, and a column of at most w entries gives the
     scalar recursion's bits.  Cost: N**2 / 2 multiply-adds in C.
     """
     pivot = 1.0 + beta_dt * a[0]
@@ -242,9 +232,10 @@ def _resolvent(a: np.ndarray, beta_dt: float) -> np.ndarray:
         raise NumericRangeError("singular step in the Volterra recursion")
     n = len(a)
     w = min(64, n)  # block width: narrower pays Python per block, wider a longer scalar loop
-    ba = (beta_dt * a[:w])[::-1].copy()  # ba[w - 1 - l] = beta dt a[l]: one forward dot per step
     r = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects non-finite states
+        ha = beta_dt * a
+        ba = ha[w - 1 :: -1].copy()  # ba[w - 1 - l] = beta dt a[l]: one forward dot per step
         r[0] = a[0] / pivot
         for m in range(1, w):
             r[m] = (a[m] - np.dot(r[:m], ba[w - 1 - m : w - 1])) / pivot
@@ -252,7 +243,7 @@ def _resolvent(a: np.ndarray, beta_dt: float) -> np.ndarray:
         q[0] += 1.0
         for k0 in range(w, n, w):
             k1 = min(k0 + w, n)
-            rhs = a[k0:k1] - beta_dt * np.convolve(a[1:k1], r[:k0], "valid")
+            rhs = a[k0:k1] - np.convolve(ha[1:k1], r[:k0], "valid")
             r[k0:k1] = np.convolve(q[: k1 - k0], rhs)[: k1 - k0]
     return r
 
@@ -260,8 +251,8 @@ def _resolvent(a: np.ndarray, beta_dt: float) -> np.ndarray:
 def _toeplitz(rr: np.ndarray, lag: int, rows: int, cols: int) -> np.ndarray:
     """Contiguous T[i, j] = r[lag + i - j], zero where the lag is <= 0.
 
-    ``rr`` is the reversed resolvent rr[n - m] = r[m], m = 1..n, followed by
-    n zeros; row i of T is window n - lag - i of it.
+    ``rr`` is a reversed column rr[n - m] = r[m], m = 1..n, followed by n
+    zeros; row i of T is window n - lag - i of it.
     """
     n = len(rr) // 2
     windows = sliding_window_view(rr, cols)
@@ -269,23 +260,22 @@ def _toeplitz(rr: np.ndarray, lag: int, rows: int, cols: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller rejects non-finite states
-def _simulate_block(X, rr, drift, sigma, x0):
+def _simulate_block(X, cc, sigma, m):
     """Paths of one (n_steps + 1) x paths block whose rows 1.. hold dW on entry.
 
-    The forcing sigma dW + drift is copied out first, so it lives only for
-    the block.  Rows a+1..b of X take one GEMM each, b = 2a after the first
-    ``_LEAF_STEPS`` rows.
+    sigma dW is copied out first, so it lives only for the block.  Rows a+1..b
+    take one GEMM each against ``cc``, c reversed as ``_toeplitz`` reads it, b
+    = 2a after the first ``_LEAF_STEPS`` rows; then row i adds m_i.
     """
     G = X[1:] * sigma
-    G += drift
     n_steps = len(G)
-    X[0] = x0
     a = 0
     while a < n_steps:
         b = min(n_steps, max(2 * a, _LEAF_STEPS))
-        np.matmul(_toeplitz(rr, a + 1, b - a, b), G[:b], out=X[a + 1 : b + 1])
+        np.matmul(_toeplitz(cc, a + 1, b - a, b), G[:b], out=X[a + 1 : b + 1])
         a = b
-    X[1:] += x0
+    X[0] = m[0]
+    X[1:] += m[1:, None]
 
 
 def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: int,
@@ -293,55 +283,47 @@ def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: in
     """Simulate n_paths goodwill trajectories under a deterministic control.
 
     ``paths`` of the returned batch is a transposed view of the time-major
-    (steps x paths) storage.
+    (steps x paths) storage.  A non-finite mean raises ``NumericRangeError``
+    before any noise is drawn.
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    n_steps = grid.n_steps
-    dt = grid.dt
-    a = np.concatenate(([0.0], _kernel_table(problem, grid)[1:]))  # left endpoint: no diagonal
-    ctl = _control_values(control, grid.nodes[:-1])
-    rr = np.concatenate((_resolvent(a, problem.beta * dt)[:0:-1], np.zeros(n_steps)))
+    n_steps, dt = grid.n_steps, grid.dt
+    m, c = _scheme(problem, _control_values(control, grid.nodes), grid)
+    cc = np.concatenate((c[:0:-1], np.zeros(n_steps)))
     n_padded = -(-n_paths // _PAD) * _PAD
     X = np.empty((n_steps + 1, n_padded))
     gaussian_increments(seed, n_padded, n_steps, dt, out=X[1:])
-    drift = (problem.alpha * dt * ctl - problem.beta * dt * problem.x0)[:, None]
     for a in range(0, n_padded, _BLOCK_PATHS):
         Xb = X[:, a : a + _BLOCK_PATHS]
-        _simulate_block(Xb, rr, drift, problem.sigma, problem.x0)
+        _simulate_block(Xb, cc, problem.sigma, m)
         _check_finite(Xb[:, : n_paths - a], a, dt)
     return PathBatch(paths=X[:, :n_paths].T, seed=seed, grid=grid)
 
 
-def _check_finite(Xb: np.ndarray, first_path: int, dt: float) -> None:
-    """Raise naming the first non-finite state of a (steps x paths) block:
-    the lowest path, at the earliest step it has one."""
+def _check_finite(Xb: np.ndarray, first_path: int, dt: float, first_step: int = 0) -> None:
+    """Raise naming the first non-finite state of a (steps x paths) block
+    whose rows start at ``first_step``: the lowest path, at the earliest
+    step it has one."""
     bad = ~np.isfinite(Xb)
     if bad.any():
         p = int(np.argmax(bad.any(axis=0)))
-        i = int(np.argmax(bad[:, p]))
+        i = first_step + int(np.argmax(bad[:, p]))
         raise SimulationError(
             f"simulation produced a non-finite state on path {first_path + p} "
             f"at step {i} (t = {i * dt:.6g})"
         )
 
 
-def _terminal_states(problem: ControlProblem, ctl: np.ndarray, grid: TimeGrid, n_paths: int,
+def _terminal_states(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, n_paths: int,
                      seed: int) -> np.ndarray:
-    """X(T) of paths 0..n_paths-1 from the normals ``simulate_paths`` draws
-    for them, without forming the paths (see the module docstring).
-
-    ``ctl`` is the control on t_0..t_{N-1}.  With w[j] = r[N - j], X(T) =
-    x0 + w @ drift + ws @ z, z the path's standard normals and ws = sigma
-    sqrt(dt) w.
-    """
+    """X(T) = m_N + ws @ z of paths 0..n_paths-1 for the control ``u`` on the
+    nodes: z the path's normals as ``simulate_paths`` draws them and ws =
+    sigma sqrt(dt) (c_N, .., c_1) (see the module docstring)."""
     n_steps, dt = grid.n_steps, grid.dt
-    a = np.concatenate(([0.0], _kernel_table(problem, grid)[1:]))  # left endpoint: no diagonal
-    w = _resolvent(a, problem.beta * dt)[:0:-1]
-    drift = problem.alpha * dt * ctl - problem.beta * dt * problem.x0
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite X(T) is rejected below
-        base = problem.x0 + w @ drift
-        ws = w * (problem.sigma * math.sqrt(dt))
+    m, c = _scheme(problem, u, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X(T) is rejected below
+        ws = c[:0:-1] * (problem.sigma * math.sqrt(dt))
     xT = np.empty(n_paths)
 
     @np.errstate(over="ignore", invalid="ignore")  # pool threads keep their own error state
@@ -349,36 +331,46 @@ def _terminal_states(problem: ControlProblem, ctl: np.ndarray, grid: TimeGrid, n
         out = xT[first : first + _BLOCK_PATHS]
         for a, z in _chunk_draws(seed, first, len(out), n_steps):
             np.einsum("ij,j->i", z, ws, out=out[a : a + len(z)])
-        out += base
+        out += m[-1]
 
     _on_chunks(reduce, n_paths)
-    bad = ~np.isfinite(xT)
-    if bad.any():
-        raise SimulationError(
-            f"simulation produced a non-finite state on path {int(np.argmax(bad))} "
-            f"at step {n_steps} (t = {n_steps * dt:.6g})"
-        )
+    _check_finite(xT[None], 0, dt, first_step=n_steps)
     return xT
 
 
-def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:
-    """Mean goodwill on the grid via trapezoidal product quadrature.
+def _trapezoid_resolvent(problem: ControlProblem, grid: TimeGrid):
+    """(ktab, rho): the kernel table and dt times the resolvent of the
+    trapezoidal column; the caller rejects non-finite results."""
+    ktab = _kernel_table(problem, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = grid.dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), problem.beta * grid.dt)
+    return ktab, rho
 
-    With v = alpha u, rho = dt r of the trapezoidal column (K_0/2, K_1, ..,
-    K_N) and s_i = x0 + dt K_i (v_0 - beta x0) / 2 the t_0 term, m_0 = x0 and
-    m_i = s_i + sum_{j=1}^{i} rho[i-j] (v_j - beta s_j): one convolution.
+
+def _scheme(problem: ControlProblem, u: np.ndarray, grid: TimeGrid):
+    """(m, c) of the scheme for the control ``u`` on the nodes.
+
+    With v = alpha u and s_i = x0 + dt K_i (v_0 - beta x0) / 2 the t_0 term,
+    m_0 = x0 and m_i = s_i + sum_{j=1}^{i} rho[i-j] (v_j - beta s_j), and c =
+    K_left - (beta rho) * K_left, so at beta == 0, c is K_left bit for bit.
     A non-finite m_i raises ``NumericRangeError`` naming the first such step.
     """
-    ktab = _kernel_table(problem, grid)
-    v = problem.alpha * _control_values(control, grid.nodes)
-    beta, dt, x0 = problem.beta, grid.dt, problem.x0
+    ktab, rho = _trapezoid_resolvent(problem, grid)
+    beta, dt, x0, n_steps = problem.beta, grid.dt, problem.x0, grid.n_steps
+    c = np.concatenate(([0.0], ktab[1:]))  # K_left, less (beta rho) * K_left below
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is rejected below
-        rho = dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), beta * dt)
+        v = problem.alpha * u
         s = x0 + 0.5 * dt * ktab[1:] * (v[0] - beta * x0)
-        m = np.concatenate(([x0], s + np.convolve(rho[:-1], v[1:] - beta * s)[: grid.n_steps]))
+        m = np.concatenate(([x0], s + np.convolve(rho[:-1], v[1:] - beta * s)[:n_steps]))
+        c -= np.convolve(beta * rho, c)[: n_steps + 1]
     bad = ~np.isfinite(m)
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericRangeError(f"mean equation produced a non-finite state at step {i} "
                                 f"(t = {i * dt:.6g})")
-    return m
+    return m, c
+
+
+def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:
+    """Mean goodwill on the grid, the scheme's m (see ``_scheme``)."""
+    return _scheme(problem, _control_values(control, grid.nodes), grid)[0]

@@ -284,7 +284,7 @@ def test_simulate_zero_noise_tracks_mean(tmp_path):
     problem = run.problem()
     cp = optimal_control_poly(problem, run.n, run.M)
     m = deterministic_mean(problem, cp, TimeGrid(T=2.0, dt=0.01))
-    assert np.abs(data[:, 1] - m).max() <= 0.05
+    assert np.array_equal(data[:, 1], m)  # the paths are the mean plus noise
 
 
 def test_worker_env_does_not_change_artifacts(tmp_path, monkeypatch):
@@ -330,14 +330,26 @@ def test_convergence_fractional_rate_proxy_bounded(tmp_path):
     assert np.all(rate <= rate[0] * 1.5)
 
 
-def test_state_overflow_is_simulation_error(tmp_path):
+def test_state_overflow_is_simulation_error(tmp_path, capsys):
     # absurdly scaled kernel: the low-order control stays finite but the
-    # first convolution step of the state overflows
+    # first trapezoidal step of the mean overflows, a numeric-range error
+    # raised before any path is drawn or written
     extra = ("times = 0.0, 1.0, 2.0\nvalues = 1e150, 1e150, 1e150\n"
              "holder_h = 1.0\nholder_H = 1.0")
-    cfg, _ = write_config(tmp_path, family="tabulated", params="", extra=extra,
-                          n=1, M=1, n_paths=4, dt=0.1)
+    cfg, out = write_config(tmp_path, family="tabulated", params="", extra=extra,
+                            n=1, M=1, n_paths=4, dt=0.1)
+    assert main(["--config", str(cfg), "simulate"]) == 3
+    assert "at step 1 (t = 0.1)" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_noise_overflow_is_simulation_error(tmp_path, capsys):
+    # the mean stays finite, the noise convolution c_1 sigma dW_0 does not
+    cfg, _ = write_config(tmp_path, family="polynomial", params="1e200", n_paths=4, dt=0.1)
+    text = cfg.read_text().replace("beta = 1.0", "beta = 0.0").replace("sigma = 1.0", "sigma = 1e200")
+    cfg.write_text(text.replace("a1 = 1.0", "a1 = 1e300"))
     assert main(["--config", str(cfg), "simulate"]) == 4
+    assert "on path 0 at step 1" in capsys.readouterr().err
 
 
 def test_oracle_cross_validation_outputs(tmp_path):
@@ -416,6 +428,20 @@ def test_oracle_overflow_writes_no_artifact(tmp_path, capsys):
     cfg.write_text(cfg.read_text().replace("beta = 1.0", "beta = 0.0"))
     assert main(["--config", str(cfg), "oracle"]) == 3
     assert not (out / "oracle.csv").exists()
+    assert capsys.readouterr().err.startswith("numeric-range error:")
+
+
+def test_control_overflow_writes_no_artifact(tmp_path, capsys):
+    # at beta = 0 the control of K = 1e160 builds, but u**2 in the value
+    # function's c0 overflows: exit 3, with no warning and no file written
+    import warnings
+
+    cfg, out = write_config(tmp_path, family="polynomial", params="1e160", n=1, M=5)
+    cfg.write_text(cfg.read_text().replace("beta = 1.0", "beta = 0.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(cfg), "control"]) == 3
+    assert not list(out.glob("control*"))
     assert capsys.readouterr().err.startswith("numeric-range error:")
 
 

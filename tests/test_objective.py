@@ -104,9 +104,17 @@ def test_monte_carlo_holds_terminal_states_and_one_draw_per_thread(fractional_ke
 
 
 def test_monte_carlo_overflow_names_path_at_horizon():
-    # the problem of test_simulate's state overflow test: r overflows, so
-    # every path's X(T) is non-finite, and only X(T) is formed
+    # the problem of test_simulate's state overflow test: the mean overflows
+    # at step 1, before any noise is drawn
     problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=1e300, x0=1.0)
+    with pytest.raises(NumericRangeError, match=r"mean equation .* at step 1 \(t = 0\.1\)"):
+        evaluate_J_mc(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
+
+
+def test_monte_carlo_noise_overflow_names_path_at_horizon():
+    # the mean stays 0 but sigma c overflows, so every path's X(T) is
+    # non-finite, and only X(T) is formed
+    problem = make_problem(PolynomialKernel(T=2.0, coeffs=(1e200,)), beta=0.0, sigma=1e200, x0=0.0)
     with pytest.raises(SimulationError, match=r"on path 0 at step 20 \(t = 2\)"):
         evaluate_J_mc(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
 

@@ -10,10 +10,12 @@ from voctrl import (
     FractionalKernel,
     MonomialKernel,
     NumericRangeError,
+    PolynomialKernel,
     SimulationError,
     TimeGrid,
     deterministic_mean,
     gaussian_increments,
+    lq_oracle,
     optimal_control_poly,
     simulate_paths,
 )
@@ -182,19 +184,28 @@ def test_increment_moments():
     assert dw.var() == pytest.approx(0.05, rel=0.02)
 
 
-def reference_paths(problem, control, grid, n_paths, seed):
-    """The left-endpoint recursion step by step, path-major, one GEMV per step."""
+def dense_scheme(problem, u, grid):
+    """The scheme as dense matrices, X = mean + sigma noise @ dW, from one
+    implicit solve of (I + beta A) X = x0 + alpha A u + sigma L dW: A the
+    trapezoidal operator (row 0 zero) and L the left-endpoint one, so X_0 =
+    x0 and no X_i sees dW_i or later."""
     n_steps, dt = grid.n_steps, grid.dt
     ktab = _kernel_table(problem, grid)
-    ctl = _control_values(control, grid.nodes[:-1])
-    dw = gaussian_increments(seed, n_paths, n_steps, dt)
-    alpha, beta, sigma, x0 = problem.alpha, problem.beta, problem.sigma, problem.x0
-    out = np.full((n_paths, n_steps + 1), x0)
-    g = np.empty_like(dw)
-    for j in range(n_steps):
-        g[:, j] = (alpha * ctl[j] - beta * out[:, j]) * dt + sigma * dw[:, j]
-        out[:, j + 1] = x0 + g[:, : j + 1] @ ktab[j + 1 : 0 : -1]
-    return out
+    A = dt * toeplitz(ktab, np.zeros(n_steps + 1))
+    A[1:, 0] *= 0.5
+    A[np.arange(1, n_steps + 1), np.arange(1, n_steps + 1)] *= 0.5
+    A[0] = 0.0
+    L = toeplitz(np.concatenate(([0.0], ktab[1:])), np.zeros(n_steps))
+    lhs = np.eye(n_steps + 1) + problem.beta * A
+    return (solve_triangular(lhs, problem.x0 + problem.alpha * (A @ u), lower=True),
+            solve_triangular(lhs, L, lower=True))
+
+
+def reference_paths(problem, control, grid, n_paths, seed):
+    """The dense scheme, path-major."""
+    mean, noise = dense_scheme(problem, _control_values(control, grid.nodes), grid)
+    dw = gaussian_increments(seed, n_paths, grid.n_steps, grid.dt)
+    return mean + problem.sigma * dw @ noise.T
 
 
 @pytest.mark.parametrize("beta, dt", [(0.0, 0.02), (1.0, 0.02), (10.0, 0.02),
@@ -283,10 +294,11 @@ def test_resolvent_blocks_are_exact(h):
         # one block is the scalar recursion itself
         for k in [1, 2, 17, 63, 64]:
             assert np.array_equal(_resolvent(a[:k], h), scalar_resolvent(a[:k], h)), (name, k)
-    # no feedback: r is the column itself across several blocks
-    a = resolvent_columns(2001)["trap-t^0.3"]
-    for k in [65, 129, 2001]:
-        assert np.array_equal(_resolvent(a[:k], 0.0), a[:k])
+    # no feedback: r is the column itself across several blocks, also where
+    # a * r overflows (K = 1e154 from entry 64 on)
+    for a in [resolvent_columns(2001)["trap-t^0.3"], np.full(201, 1e154)]:
+        for k in [65, 129, 2001]:
+            assert np.array_equal(_resolvent(a[:k], 0.0), a[:k])
 
 
 def test_reruns_are_bit_identical(fractional_kernel):
@@ -332,13 +344,14 @@ def test_paths_do_not_depend_on_path_count(n_paths, workers, long_run, monkeypat
 @pytest.mark.parametrize("kernel", [MonomialKernel(T=2.0, degree=0), FractionalKernel(T=2.0, exponent=0.3),
                                     MonomialKernel(T=2.0, degree=2)], ids=["t^0", "t^0.3", "t^2"])
 def test_terminal_states_are_path_ends(kernel, beta):
-    # X(T) = x0 + r-row @ G summed in another order than the stripes' last
-    # row, so the two agree to rounding; 600 paths cross a 512-path draw
+    # X(T) = m_N + c-row @ sigma dW summed in another order than the
+    # stripes' last row, so the two agree to rounding; 600 paths cross a
+    # 512-path draw
     problem = make_problem(kernel, beta=beta, x0=0.3)
     grid = TimeGrid(T=2.0, dt=0.02)
     control = lambda t: 1.0 + t
     ends = simulate_paths(problem, control, grid, 600, seed=77).paths[:, -1]
-    xT = _terminal_states(problem, _control_values(control, grid.nodes[:-1]), grid, 600, seed=77)
+    xT = _terminal_states(problem, _control_values(control, grid.nodes), grid, 600, seed=77)
     assert np.abs(xT - ends).max() <= 1e-13 * np.abs(ends).max()
 
 
@@ -346,7 +359,7 @@ def test_terminal_states_are_path_ends(kernel, beta):
 def long_terminal_run():
     problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), x0=0.4)
     grid = TimeGrid(T=2.0, dt=0.05)
-    ctl = np.cos(grid.nodes[:-1])
+    ctl = np.cos(grid.nodes)
     return problem, ctl, grid, _terminal_states(problem, ctl, grid, 8193, seed=13)
 
 
@@ -370,12 +383,30 @@ def test_voc_threads_env_bounds_workers(monkeypatch, fractional_kernel):
 
 
 def test_zero_noise_paths_track_deterministic_mean(gamma_kernel):
+    # the simulator is the mean plus a noise convolution: without noise it
+    # is the mean itself, bit for bit
     problem = make_problem(gamma_kernel, sigma=0.0, x0=0.2)
     cp = optimal_control_poly(problem, 10, 30)
-    coarse = simulate_paths(problem, cp, TimeGrid(T=2.0, dt=0.01), 1, seed=0)
-    reference = deterministic_mean(problem, cp, TimeGrid(T=2.0, dt=0.001))
-    # left-endpoint scheme vs trapezoidal reference differ at O(dt)
-    assert abs(coarse.paths[0, -1] - reference[-1]) <= 1.0 * 0.01
+    grid = TimeGrid(T=2.0, dt=0.01)
+    paths = simulate_paths(problem, cp, grid, 3, seed=0).paths
+    mean = deterministic_mean(problem, cp, grid)
+    assert all(np.array_equal(path, mean) for path in paths)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 10.0])
+def test_terminal_moments_match_the_scheme(beta):
+    # X(T) is Gaussian with the scheme's mean m_N and variance sigma^2 dt
+    # sum_k c_k^2, both from the dense solve; 40 000 paths, both within z =
+    # 3.5 of them
+    problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), beta=beta, sigma=0.8, x0=0.3)
+    grid = TimeGrid(T=2.0, dt=0.02)
+    u = 1.0 + grid.nodes
+    mean, noise = dense_scheme(problem, u, grid)
+    var = problem.sigma**2 * grid.dt * np.sum(noise[-1] ** 2)
+    n_paths = 40_000
+    xT = _terminal_states(problem, u, grid, n_paths, seed=2718)
+    assert abs(xT.mean() - mean[-1]) <= 3.5 * np.sqrt(var / n_paths)
+    assert abs(xT.var(ddof=1) - var) <= 3.5 * var * np.sqrt(2.0 / (n_paths - 1))
 
 
 def test_mean_scheme_first_order_consistency(fractional_kernel):
@@ -417,12 +448,29 @@ def test_non_finite_control_rejected(fractional_kernel):
 
 
 def test_state_overflow_names_path_and_step():
-    # the forcing holds -beta dt x0, about -1e299, and r[2] = 1 - beta dt is
-    # about -1e299 too, so r[2] G_0 overflows and every path first turns
-    # non-finite at step 2
+    # s_1 = x0 - beta dt x0 / 2 is about -5e298, so beta s_1 overflows: the
+    # mean's first non-finite state is at step 1, and no noise is drawn
     problem = make_problem(MonomialKernel(T=2.0, degree=0), beta=1e300, x0=1.0)
-    with pytest.raises(SimulationError, match=r"on path 0 at step 2 \(t = 0\.2\)"):
+    with pytest.raises(NumericRangeError, match=r"mean equation .* at step 1 \(t = 0\.1\)"):
         simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
+
+
+def test_noise_overflow_names_path_and_step():
+    # the mean stays 0, but c_1 sigma dW_0 is about 1e200 * 3e199: every
+    # path first turns non-finite at step 1
+    problem = make_problem(PolynomialKernel(T=2.0, coeffs=(1e200,)), beta=0.0, sigma=1e200, x0=0.0)
+    with pytest.raises(SimulationError, match=r"on path 0 at step 1 \(t = 0\.1\)"):
+        simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
+
+
+def test_beta_zero_scheme_is_finite_where_the_resolvent_product_overflows():
+    # K = 1e154: rho * K overflows past the resolvent's first 64-entry
+    # block, but at beta == 0 it enters multiplied by 0
+    problem = make_problem(PolynomialKernel(T=2.0, coeffs=(1e154,)), beta=0.0, x0=1.0)
+    grid = TimeGrid(T=2.0, dt=0.01)
+    assert lq_oracle(problem, grid).j_opt == pytest.approx(5e307, rel=1e-13)
+    assert np.array_equal(deterministic_mean(problem, zero, grid), np.ones(grid.n_steps + 1))
+    assert np.all(np.isfinite(simulate_paths(problem, zero, grid, 5, seed=1).paths))
 
 
 def test_mean_overflow_names_the_first_non_finite_step():
