@@ -17,7 +17,6 @@ Bernstein basis, not from kappa.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,15 +31,18 @@ N_CAP = 25
 def _forward_differences(values):
     """All forward differences Delta^k[values](0), k = 0..n.
 
-    Every double is a rational number, so the difference table is kept in
-    exact Fraction arithmetic and each Delta^k is rounded to a double once:
-    the alternating cancellation adds no rounding error to the kernel
-    samples as given.
+    Every double is p / 2**e, so over the largest denominator the samples
+    are integers: the difference table is kept exact in Python ints and each
+    Delta^k is rounded to a double once (int / int rounds correctly), so the
+    alternating cancellation adds no rounding error to the kernel samples as
+    given.  An infinite sample raises ``OverflowError``.
     """
-    row = [Fraction(float(v)) for v in values]
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max((d for _, d in ratios), default=1)
+    row = [p * (den // d) for p, d in ratios]
     out = []
     while row:
-        out.append(float(row[0]))
+        out.append(row[0] / den)
         row = [b - a for a, b in zip(row, row[1:])]
     return out
 

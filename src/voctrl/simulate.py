@@ -40,10 +40,15 @@ streams across numpy versions, and ``tests/test_simulate.py`` pins a digest.
 
 State and noise are stored time-major (steps x paths).  ``simulate_paths``
 writes the increments straight into rows 1..N of the path array, then runs
-fixed ``_BLOCK_PATHS`` column blocks in the calling thread, on BLAS threads;
-each block copies out its own sigma dW, writes the noise convolution in row
-stripes of doubling height, each one GEMM against a Toeplitz block of c, small
-enough at CLI sizes to stay on one BLAS thread, and adds m to every row.
+fixed ``_BLOCK_PATHS`` column blocks in the calling thread, on BLAS threads.
+Each block scales its rows to sigma dW in place and writes the noise
+convolution over them bottom-up, in row stripes that double in height up to
+``_STRIPE`` rows: a stripe is one GEMM of a Toeplitz block of c against the
+rows above it, which no stripe run so far has overwritten, into one reused
+``_STRIPE`` x ``_BLOCK_PATHS`` buffer, where m is added and finiteness
+checked before the stripe is copied back.  So beside the paths there is one
+stripe buffer and one Toeplitz block, whatever the step count, and the
+stripes are small enough at CLI sizes to stay on one BLAS thread.
 The path count is padded to a multiple of ``_PAD`` with extra paths of the
 last chunk, dropped afterwards: every real path sees the same BLAS tiling, so
 its values are bit-identical whatever the thread count or ``n_paths``.
@@ -83,6 +88,7 @@ _PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
 _BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the threads
 _DRAW_PATHS = 512  # paths per draw: one draw's buffer stays in cache
 _LEAF_STEPS = 16  # rows of the first stripe; each later stripe doubles the rows done
+_STRIPE = 128  # most rows per stripe: the stripe buffer is _STRIPE * _BLOCK_PATHS floats
 
 
 @dataclass(frozen=True)
@@ -260,22 +266,32 @@ def _toeplitz(rr: np.ndarray, lag: int, rows: int, cols: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller rejects non-finite states
-def _simulate_block(X, cc, sigma, m):
-    """Paths of one (n_steps + 1) x paths block whose rows 1.. hold dW on entry.
+def _simulate_block(X, cc, sigma, m, buf, n_real) -> bool:
+    """Paths of one (n_steps + 1) x paths block whose rows 1.. hold dW on
+    entry; False if a state of its first ``n_real`` columns is not finite.
 
-    sigma dW is copied out first, so it lives only for the block.  Rows a+1..b
-    take one GEMM each against ``cc``, c reversed as ``_toeplitz`` reads it, b
-    = 2a after the first ``_LEAF_STEPS`` rows; then row i adds m_i.
+    Rows 1.. are scaled to sigma dW in place.  Stripe (a, b] has b - a =
+    min(max(a, _LEAF_STEPS), _STRIPE) rows, and the stripes run from the last
+    to the first: each is one GEMM of the Toeplitz block of ``cc`` (c reversed
+    as ``_toeplitz`` reads it) against rows 1..b, none yet overwritten, into
+    ``buf`` (flat, room for the tallest stripe), which adds m's rows and is
+    checked before it is copied into rows a+1..b.
     """
-    G = X[1:] * sigma
-    n_steps = len(G)
-    a = 0
-    while a < n_steps:
-        b = min(n_steps, max(2 * a, _LEAF_STEPS))
-        np.matmul(_toeplitz(cc, a + 1, b - a, b), G[:b], out=X[a + 1 : b + 1])
-        a = b
+    n_steps, width = X.shape[0] - 1, X.shape[1]
+    X[1:] *= sigma
+    bounds = [0]
+    while bounds[-1] < n_steps:
+        a = bounds[-1]
+        bounds.append(min(n_steps, a + min(max(a, _LEAF_STEPS), _STRIPE)))
+    finite = True
+    for a, b in reversed(list(zip(bounds, bounds[1:]))):
+        out = buf[: (b - a) * width].reshape(b - a, width)
+        np.matmul(_toeplitz(cc, a + 1, b - a, b), X[1 : b + 1], out=out)
+        out += m[a + 1 : b + 1, None]
+        finite = finite and bool(np.isfinite(out[:, :n_real]).all())
+        X[a + 1 : b + 1] = out
     X[0] = m[0]
-    X[1:] += m[1:, None]
+    return finite
 
 
 def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: int,
@@ -294,10 +310,11 @@ def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: in
     n_padded = -(-n_paths // _PAD) * _PAD
     X = np.empty((n_steps + 1, n_padded))
     gaussian_increments(seed, n_padded, n_steps, dt, out=X[1:])
+    buf = np.empty(min(_STRIPE, n_steps) * min(_BLOCK_PATHS, n_padded))
     for a in range(0, n_padded, _BLOCK_PATHS):
         Xb = X[:, a : a + _BLOCK_PATHS]
-        _simulate_block(Xb, cc, problem.sigma, m)
-        _check_finite(Xb[:, : n_paths - a], a, dt)
+        if not _simulate_block(Xb, cc, problem.sigma, m, buf, n_paths - a):
+            _check_finite(Xb[:, : n_paths - a], a, dt)
     return PathBatch(paths=X[:, :n_paths].T, seed=seed, grid=grid)
 
 
@@ -347,30 +364,42 @@ def _trapezoid_resolvent(problem: ControlProblem, grid: TimeGrid):
     return ktab, rho
 
 
-def _scheme(problem: ControlProblem, u: np.ndarray, grid: TimeGrid):
-    """(m, c) of the scheme for the control ``u`` on the nodes.
+def _mean(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, ktab: np.ndarray,
+          rho: np.ndarray) -> np.ndarray:
+    """The scheme's mean m for the control ``u`` on the nodes, off
+    ``_trapezoid_resolvent``'s (ktab, rho).
 
     With v = alpha u and s_i = x0 + dt K_i (v_0 - beta x0) / 2 the t_0 term,
-    m_0 = x0 and m_i = s_i + sum_{j=1}^{i} rho[i-j] (v_j - beta s_j), and c =
-    K_left - (beta rho) * K_left, so at beta == 0, c is K_left bit for bit.
-    A non-finite m_i raises ``NumericRangeError`` naming the first such step.
+    m_0 = x0 and m_i = s_i + sum_{j=1}^{i} rho[i-j] (v_j - beta s_j).  A
+    non-finite m_i raises ``NumericRangeError`` naming the first such step.
     """
-    ktab, rho = _trapezoid_resolvent(problem, grid)
     beta, dt, x0, n_steps = problem.beta, grid.dt, problem.x0, grid.n_steps
-    c = np.concatenate(([0.0], ktab[1:]))  # K_left, less (beta rho) * K_left below
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is rejected below
         v = problem.alpha * u
         s = x0 + 0.5 * dt * ktab[1:] * (v[0] - beta * x0)
         m = np.concatenate(([x0], s + np.convolve(rho[:-1], v[1:] - beta * s)[:n_steps]))
-        c -= np.convolve(beta * rho, c)[: n_steps + 1]
     bad = ~np.isfinite(m)
     if bad.any():
         i = int(np.argmax(bad))
         raise NumericRangeError(f"mean equation produced a non-finite state at step {i} "
                                 f"(t = {i * dt:.6g})")
+    return m
+
+
+def _scheme(problem: ControlProblem, u: np.ndarray, grid: TimeGrid):
+    """(m, c) of the scheme for the control ``u`` on the nodes: m from
+    ``_mean``, and c = K_left - (beta rho) * K_left, so at beta == 0, c is
+    K_left bit for bit."""
+    ktab, rho = _trapezoid_resolvent(problem, grid)
+    m = _mean(problem, u, grid, ktab, rho)
+    c = np.concatenate(([0.0], ktab[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects non-finite states
+        c -= np.convolve(problem.beta * rho, c)[: grid.n_steps + 1]
     return m, c
 
 
 def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:
-    """Mean goodwill on the grid, the scheme's m (see ``_scheme``)."""
-    return _scheme(problem, _control_values(control, grid.nodes), grid)[0]
+    """Mean goodwill on the grid, the scheme's m (see ``_mean``); no noise
+    column is formed."""
+    u = _control_values(control, grid.nodes)
+    return _mean(problem, u, grid, *_trapezoid_resolvent(problem, grid))

@@ -52,6 +52,14 @@ def test_horizon_out_of_range_is_a_range_error(T):
         bernstein_kernel(FractionalKernel(T=T, exponent=0.3), 2)
 
 
+def test_infinite_node_value_is_a_range_error():
+    # K(T) = 2e308 overflows to inf: the exact difference table cannot hold it
+    source = PolynomialKernel(T=2.0, coeffs=(0.0, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericRangeError, match="degree 3 out of range: cannot convert Infinity to integer ratio"):
+        bernstein_kernel(source, 3)
+
+
 def test_linear_kernel_degree_one():
     # K_1(t) = K(0)(1 - t) + K(1) t = t on [0, 1]
     bk = bernstein_kernel(MonomialKernel(T=1.0, degree=1), 1)

@@ -156,26 +156,28 @@ def test_increments_fill_a_strided_out_in_place(three_chunk_reference, monkeypat
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])
-def test_simulation_holds_one_block_of_forcing(beta):
-    # the increments are drawn into the path array itself and every row
-    # stripe's product is written into it; beside it there is one block's forcing
+@pytest.mark.parametrize("dt, n_paths", [(0.01, 8200), (0.002, 4200)], ids=["200steps", "1000steps"])
+def test_simulation_holds_one_stripe_buffer(dt, n_paths, beta):
+    # the increments are drawn into the path array itself and every block's
+    # convolution is written over them in place: beside the paths there is one
+    # stripe buffer of _STRIPE x _BLOCK_PATHS floats, whatever the step count
     import tracemalloc
 
-    from voctrl.simulate import _BLOCK_PATHS, _PAD
+    from voctrl.simulate import _BLOCK_PATHS, _PAD, _STRIPE
 
     problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), beta=beta)
-    grid = TimeGrid(T=2.0, dt=0.01)
-    n_paths, n_steps = 8200, grid.n_steps
+    grid = TimeGrid(T=2.0, dt=dt)
+    n_steps = grid.n_steps
     simulate_paths(problem, one, grid, 2, seed=1)  # lazy imports and caches
     paths_bytes = 8 * (n_steps + 1) * (-(-n_paths // _PAD) * _PAD)
-    forcing_bytes = 8 * n_steps * _BLOCK_PATHS
+    stripe_bytes = 8 * _STRIPE * _BLOCK_PATHS
     tracemalloc.start()
     try:
         simulate_paths(problem, one, grid, n_paths, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < paths_bytes + forcing_bytes + 2 * 2**20
+    assert peak < paths_bytes + stripe_bytes + 2 * 2**20
 
 
 def test_increment_moments():
@@ -209,13 +211,16 @@ def reference_paths(problem, control, grid, n_paths, seed):
 
 
 @pytest.mark.parametrize("beta, dt", [(0.0, 0.02), (1.0, 0.02), (10.0, 0.02),
-                                      (0.0, 0.2), (1.0, 0.2), (10.0, 0.2)],
-                         ids=["0.0", "1.0", "10.0", "0.0-10steps", "1.0-10steps", "10.0-10steps"])
+                                      (0.0, 0.2), (1.0, 0.2), (10.0, 0.2),
+                                      (0.0, 0.0032), (1.0, 0.0032), (10.0, 0.0032)],
+                         ids=["0.0", "1.0", "10.0", "0.0-10steps", "1.0-10steps", "10.0-10steps",
+                              "0.0-625steps", "1.0-625steps", "10.0-625steps"])
 @pytest.mark.parametrize("kernel", [MonomialKernel(T=2.0, degree=0), FractionalKernel(T=2.0, exponent=0.3)],
                          ids=["K0=1", "K0=0"])
 def test_kernel_matches_reference_recursion(kernel, beta, dt):
     # 100 steps: row stripes of 16, 16, 32 and an uneven last 36; 10 steps:
-    # one stripe; 4100 paths: two path blocks
+    # one stripe; 625 steps: stripes of 16, 16, 32, 64, 128, then capped ones
+    # of 128, 128 and an uneven last 113; 4100 paths: two path blocks
     problem = make_problem(kernel, beta=beta, x0=0.3)
     grid = TimeGrid(T=2.0, dt=dt)
     control = lambda t: 1.0 + t
@@ -461,6 +466,15 @@ def test_noise_overflow_names_path_and_step():
     problem = make_problem(PolynomialKernel(T=2.0, coeffs=(1e200,)), beta=0.0, sigma=1e200, x0=0.0)
     with pytest.raises(SimulationError, match=r"on path 0 at step 1 \(t = 0\.1\)"):
         simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
+
+
+def test_noise_overflow_names_the_lowest_path_and_earliest_step_across_stripes():
+    # 300 steps in six stripes, run from the last to the first, and 4200
+    # paths in two blocks: every path is non-finite from step 1 on, and the
+    # error still names path 0 at step 1
+    problem = make_problem(PolynomialKernel(T=3.0, coeffs=(1e200,)), beta=0.0, sigma=1e200, x0=0.0)
+    with pytest.raises(SimulationError, match=r"on path 0 at step 1 \(t = 0\.01\)"):
+        simulate_paths(problem, zero, TimeGrid(T=3.0, dt=0.01), 4200, seed=1)
 
 
 def test_beta_zero_scheme_is_finite_where_the_resolvent_product_overflows():
