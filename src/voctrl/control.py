@@ -118,7 +118,8 @@ class ControlPolynomial:
         x = self.T - np.atleast_1d(ts)
         acc = np.zeros_like(x)
         for c in self.coeffs[::-1]:
-            acc = acc * x + c
+            acc *= x
+            acc += c
         out = self.scale * acc
         return float(out[0]) if np.ndim(ts) == 0 else out
 

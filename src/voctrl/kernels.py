@@ -52,6 +52,9 @@ class Kernel:
         is derived (see ``default_holder_metadata``).
     holder_H : float, optional
         Holder constant, > 0.
+
+    Array fields are stored as read-only copies, so a kernel object never
+    changes: ``simulate`` keys its kept solve on the object.
     """
 
     T: float
@@ -63,6 +66,10 @@ class Kernel:
             value = getattr(self, f.name)
             if isinstance(value, (float, tuple, np.ndarray)) and not np.all(np.isfinite(value)):
                 raise DomainError(f"{f.name} must be finite, got {value}")
+            if isinstance(value, np.ndarray):  # a read-only copy: the kernel cannot change
+                frozen = value.copy()
+                frozen.setflags(write=False)
+                object.__setattr__(self, f.name, frozen)
         if not self.T > 0.0:
             raise DomainError(f"horizon T must be positive, got {self.T}")
         if self.holder_h is not None and not 0.0 < self.holder_h <= 1.0:
@@ -189,9 +196,10 @@ class PolynomialKernel(Kernel):
             raise DomainError("polynomial kernel needs at least one coefficient")
 
     def _value(self, t):
-        acc = 0.0
+        acc = np.zeros_like(t)
         for c in reversed(self.coeffs):
-            acc = acc * t + c
+            acc *= t
+            acc += c
         return acc
 
 

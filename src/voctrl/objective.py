@@ -13,8 +13,11 @@ cost is a positive diagonal quadratic, so the maximizer is the discrete
 beta-resolvent of K read backwards from T.  The oracle reads it, and the
 terminal mean's response to x0, off rho of ``_trapezoid_resolvent``, the one
 solve that the simulator's mean and noise column come from, in O(n_steps)
-memory.  Sharing the scheme is deliberate: comparisons against the lifted
-closed form isolate method error from quadrature error.
+memory.  That solve is kept for the last (kernel object, beta, grid), so
+``evaluate_J_deterministic`` after ``lq_oracle`` on one problem, or a
+Monte-Carlo J after either, reuses it.  Sharing the scheme is deliberate:
+comparisons against the lifted closed form isolate method error from
+quadrature error.
 """
 
 from dataclasses import dataclass
@@ -59,8 +62,8 @@ def evaluate_J_mc(problem: ControlProblem, control, grid: TimeGrid, n_paths: int
 
     X(T) of path p is ``simulate_paths(...).paths[p, -1]`` up to rounding,
     from the same noise, but comes from ``_terminal_states`` without forming
-    the paths: memory is O(threads * 512 * n_steps + n_paths).  The control
-    is evaluated once, on the grid nodes.
+    the paths: memory is 4 MiB of draws per thread plus O(n_steps +
+    n_paths).  The control is evaluated once, on the grid nodes.
     """
     if n_paths < 2:
         raise NumericRangeError(f"n_paths must be >= 2, got {n_paths}")

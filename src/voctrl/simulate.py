@@ -55,10 +55,11 @@ its values are bit-identical whatever the thread count or ``n_paths``.
 
 A Monte-Carlo objective reads X only at T, and X_N = m_N + sigma sum_j
 c[N-j] dW_j is one weight vector dotted with each path's noise, so
-``_terminal_states`` reduces every 512-path draw to X(T) in the thread that
-drew it, one fixed-order einsum dot per path and no BLAS call: no path array
-exists, memory is O(threads * 512 * N + P), and the work is the draw plus N
-multiply-adds per path instead of the stripes' 0.63 * N**2.  X(T) of path p
+``_terminal_states`` reduces every draw (at most 512 paths and, unless one
+path needs more, 2**19 normals) to X(T) in the thread that drew it, one
+fixed-order einsum dot per path and no BLAS call: no path array exists,
+memory is 4 MiB of draws per thread plus O(N + P), and the work is the draw
+plus N multiply-adds per path instead of the stripes' 0.63 * N**2.  X(T) of path p
 matches ``paths[p, -1]`` to rounding and, like it, depends neither on the
 thread count nor on ``n_paths``.
 
@@ -66,7 +67,8 @@ thread count nor on ``n_paths``.
 first column ``a`` of a quadrature's lower-triangular Toeplitz matrix: block
 forward substitution in 64-entry blocks, N**2 / 2 multiply-adds in C and
 O(n_steps) memory.  The one column solved is the trapezoidal one, once per
-public call; a zero pivot raises ``NumericRangeError``.
+(kernel object, beta, grid); the last solve is kept.  A zero pivot raises
+``NumericRangeError``.
 """
 
 import math
@@ -86,7 +88,8 @@ DEFAULT_BACKEND = "numpy"
 _MASK64 = (1 << 64) - 1
 _PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
 _BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the threads
-_DRAW_PATHS = 512  # paths per draw: one draw's buffer stays in cache
+_DRAW_PATHS = 512  # most paths per draw
+_DRAW_FLOATS = 1 << 19  # most normals per draw unless one path needs more: 4 MiB per thread
 _LEAF_STEPS = 16  # rows of the first stripe; each later stripe doubles the rows done
 _STRIPE = 128  # most rows per stripe: the stripe buffer is _STRIPE * _BLOCK_PATHS floats
 
@@ -129,15 +132,17 @@ def _chunk_draws(seed: int, first_path: int, n_paths: int, n_steps: int):
 
     ``first_path`` starts a chunk: a multiple of ``_BLOCK_PATHS``, with
     n_paths at most ``_BLOCK_PATHS``.  The chunk's own stream is drawn
-    path-major, ``_DRAW_PATHS`` paths at a time into one reused buffer; each
-    draw is yielded as (offset in the chunk, (k, n_steps) view of the buffer),
-    valid until the next one.
+    path-major into one reused buffer, ``_DRAW_PATHS`` paths at a time, fewer
+    where that would pass ``_DRAW_FLOATS`` normals (splitting a fill does not
+    change the stream); each draw is yielded as (offset in the chunk, (k,
+    n_steps) view of the buffer), valid until the next one.
     """
     chunk = first_path // _BLOCK_PATHS
     gen = np.random.Generator(np.random.Philox(key=seed & _MASK64, counter=[0, 0, 0, chunk]))
-    buf = np.empty((min(_DRAW_PATHS, n_paths), n_steps))
-    for a in range(0, n_paths, _DRAW_PATHS):
-        k = min(_DRAW_PATHS, n_paths - a)
+    per_draw = min(_DRAW_PATHS, max(1, _DRAW_FLOATS // n_steps))
+    buf = np.empty((min(per_draw, n_paths), n_steps))
+    for a in range(0, n_paths, per_draw):
+        k = min(per_draw, n_paths - a)
         gen.standard_normal(out=buf[:k])
         yield a, buf[:k]
 
@@ -355,12 +360,30 @@ def _terminal_states(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, n_p
     return xT
 
 
+_last_solve = None  # (kernel, (beta, sign of beta, grid), (ktab, rho)) of the last solve
+
+
 def _trapezoid_resolvent(problem: ControlProblem, grid: TimeGrid):
     """(ktab, rho): the kernel table and dt times the resolvent of the
-    trapezoidal column; the caller rejects non-finite results."""
+    trapezoidal column, both read-only; the caller rejects non-finite results.
+
+    The last solve is kept and served again to a call with the same kernel
+    object (``is``, not equal values: kernels are frozen, their arrays
+    read-only), an equal beta of the same sign and an equal grid, which fix
+    the pair, horizon included.  The entry is read once and replaced by one
+    assignment, so a thread race can only cost a recompute.
+    """
+    global _last_solve
+    key = (problem.beta, math.copysign(1.0, problem.beta), grid)
+    last = _last_solve
+    if last is not None and last[0] is problem.kernel and last[1] == key:
+        return last[2]
     ktab = _kernel_table(problem, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         rho = grid.dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), problem.beta * grid.dt)
+    ktab.setflags(write=False)
+    rho.setflags(write=False)
+    _last_solve = (problem.kernel, key, (ktab, rho))
     return ktab, rho
 
 

@@ -1,9 +1,18 @@
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+import voctrl.simulate
 from voctrl import ControlProblem, FractionalKernel, GammaKernel, MonomialKernel
+
+
+@pytest.fixture(autouse=True)
+def no_kept_solve():
+    """Every test starts without a kept trapezoidal solve, so none passes or
+    fails by the order the tests run in."""
+    voctrl.simulate._last_solve = None
 
 
 def make_problem(kernel, alpha=1.0, beta=1.0, sigma=1.0, a1=1.0, a2=1.0, x0=0.0):
@@ -40,6 +49,17 @@ def uniform_grid(T, n):
     return np.linspace(0.0, T, n)
 
 
+@dataclass(frozen=True, kw_only=True)
+class CountingKernel(FractionalKernel):
+    """t**exponent that records the shape of every argument it is called with."""
+
+    shapes: list = field(default_factory=list)
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return super().__call__(t)
+
+
 class CountingControl:
     """A control that records the shape of every argument it is called with."""
 
@@ -50,6 +70,20 @@ class CountingControl:
     def __call__(self, t):
         self.shapes.append(np.shape(t))
         return self.control(t)
+
+
+@pytest.fixture
+def resolvent_calls(monkeypatch):
+    """The column length of every ``_resolvent`` solve."""
+    resolvent = voctrl.simulate._resolvent
+    calls = []
+
+    def counting(a, beta_dt):
+        calls.append(len(a))
+        return resolvent(a, beta_dt)
+
+    monkeypatch.setattr(voctrl.simulate, "_resolvent", counting)
+    return calls
 
 
 @pytest.fixture

@@ -60,6 +60,14 @@ def test_infinite_node_value_is_a_range_error():
         bernstein_kernel(source, 3)
 
 
+def test_coefficients_and_node_values_are_read_only(fractional_kernel):
+    bk = bernstein_kernel(fractional_kernel, 5)
+    with pytest.raises(ValueError):
+        bk.node_values[0] = 1.0
+    with pytest.raises(ValueError):
+        bk.coeffs[0] = 1.0
+
+
 def test_linear_kernel_degree_one():
     # K_1(t) = K(0)(1 - t) + K(1) t = t on [0, 1]
     bk = bernstein_kernel(MonomialKernel(T=1.0, degree=1), 1)

@@ -282,6 +282,15 @@ def test_closed_form_on_an_array_equals_scalar_calls(degree):
     assert isinstance(monomial_closed_form(problem, 0.5), float)
 
 
+def test_control_in_place_horner_keeps_every_bit(fractional_kernel):
+    cp = optimal_control_poly(make_problem(fractional_kernel), 20, 50)
+    nodes = TimeGrid(T=2.0, dt=0.001).nodes
+    x, acc = 2.0 - nodes, np.zeros(len(nodes))
+    for c in cp.coeffs[::-1]:
+        acc = acc * x + c
+    assert np.array_equal(cp(nodes), cp.scale * acc)
+
+
 def test_closed_form_requires_monomial(fractional_kernel):
     with pytest.raises(DomainError):
         monomial_closed_form(make_problem(fractional_kernel), 0.0)

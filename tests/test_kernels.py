@@ -49,6 +49,26 @@ def test_polynomial_matches_numpy_polyval():
         assert k(t) == pytest.approx(np.polyval(coeffs[::-1], t), rel=1e-14)
 
 
+def test_polynomial_in_place_horner_keeps_every_bit():
+    kappa = bernstein_kernel(FractionalKernel(T=2.0, exponent=0.3), 20).coeffs
+    t = TimeGrid(T=2.0, dt=0.001).nodes
+    acc = 0.0
+    for c in reversed(kappa):
+        acc = acc * t + c
+    assert np.array_equal(PolynomialKernel(T=2.0, coeffs=tuple(kappa))(t), acc)
+
+
+def test_array_fields_are_read_only_copies():
+    coeffs, times, values = np.array([1.0, 2.0]), np.array([0.0, 2.0]), np.array([1.0, 0.0])
+    kernels = (PolynomialKernel(T=2.0, coeffs=coeffs),
+               TabulatedKernel(T=2.0, times=times, values=values, holder_h=1.0, holder_H=1.0))
+    coeffs[0] = times[1] = values[0] = 5.0  # the caller's arrays stay the caller's
+    assert kernels[0](0.0) == 1.0 and kernels[1](0.0) == 1.0
+    for arr in (kernels[0].coeffs, kernels[1].times, kernels[1].values):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_tabulated_linear_interpolation():
     k = TabulatedKernel(T=2.0, times=(0.0, 1.0, 2.0), values=(0.0, 1.0, 0.5),
                         holder_h=1.0, holder_H=1.0)

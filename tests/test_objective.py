@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import voctrl.simulate
 from voctrl import (
     FractionalKernel,
     MonomialKernel,
@@ -18,11 +19,12 @@ from voctrl import (
     lq_oracle,
     monomial_closed_form,
     optimal_control_poly,
+    simulate_paths,
 )
 from voctrl.objective import _trapezoid_weights
 from voctrl.simulate import _kernel_table
 
-from .conftest import CountingControl, make_problem
+from .conftest import CountingControl, CountingKernel, make_problem
 
 
 def zero(t):
@@ -58,6 +60,49 @@ def test_deterministic_objective_calls_the_control_once(fractional_kernel):
     control = CountingControl(optimal_control_poly(problem, 10, 30))
     evaluate_J_deterministic(problem, control, grid)
     assert control.shapes == [(41,)]
+
+
+def test_oracle_then_objective_solve_once(resolvent_calls):
+    kernel = CountingKernel(T=2.0, exponent=0.3)
+    problem, grid = make_problem(kernel, x0=0.2), TimeGrid(T=2.0, dt=0.01)
+    control = optimal_control_poly(problem, 10, 30)
+    kernel.shapes.clear()  # the control's Bernstein nodes
+    oracle = lq_oracle(problem, grid)
+    report = evaluate_J_deterministic(problem, control, grid)
+    assert resolvent_calls == [201] and kernel.shapes == [(201,)]
+    assert report.j_estimate <= oracle.j_opt
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_kept_solve_changes_no_bit(beta):
+    # every consumer of the solve gives the same bits from a cold and a warm entry
+    problem = make_problem(bernstein_kernel(FractionalKernel(T=2.0, exponent=0.3), 20),
+                           beta=beta, x0=0.3)
+    grid = TimeGrid(T=2.0, dt=0.01)
+    control = optimal_control_poly(problem, 20, 50)
+
+    def oracle():
+        o = lq_oracle(problem, grid)
+        return np.append(o.u_values, o.j_opt)
+
+    def j_mc():
+        r = evaluate_J_mc(problem, control, grid, 70, seed=3)
+        return r.j_estimate, r.std_error
+
+    runs = {
+        "oracle": oracle,
+        "J": lambda: evaluate_J_deterministic(problem, control, grid).j_estimate,
+        "mean": lambda: deterministic_mean(problem, control, grid),
+        "paths": lambda: simulate_paths(problem, control, grid, 70, seed=3).paths,
+        "J_mc": j_mc,
+    }
+    cold = {}
+    for name, run in runs.items():
+        voctrl.simulate._last_solve = None
+        cold[name] = np.asarray(run()).tobytes()
+    for order in (list(runs), list(runs)[::-1]):
+        for name in order:
+            assert np.asarray(runs[name]()).tobytes() == cold[name], name
 
 
 def test_monte_carlo_objective_zero_noise(fractional_kernel):

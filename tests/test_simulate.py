@@ -1,17 +1,20 @@
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
 
+import voctrl.simulate
 from voctrl import (
     DomainError,
     FractionalKernel,
+    Kernel,
     MonomialKernel,
     NumericRangeError,
     PolynomialKernel,
     SimulationError,
+    TabulatedKernel,
     TimeGrid,
     deterministic_mean,
     gaussian_increments,
@@ -19,9 +22,15 @@ from voctrl import (
     optimal_control_poly,
     simulate_paths,
 )
-from voctrl.simulate import _control_values, _kernel_table, _resolvent, _terminal_states
+from voctrl.simulate import (
+    _control_values,
+    _kernel_table,
+    _resolvent,
+    _terminal_states,
+    _trapezoid_resolvent,
+)
 
-from .conftest import CountingControl, make_problem
+from .conftest import CountingControl, CountingKernel, make_problem
 
 
 def zero(t):
@@ -178,6 +187,34 @@ def test_simulation_holds_one_stripe_buffer(dt, n_paths, beta):
     finally:
         tracemalloc.stop()
     assert peak < paths_bytes + stripe_bytes + 2 * 2**20
+
+
+def test_long_paths_are_drawn_in_smaller_fills_of_the_same_stream():
+    # at 4000 steps a draw holds 131 paths, not 512: the chunk's stream is the same
+    seed, n_paths, n_steps, dt = 77, 300, 4000, 0.0005
+    assert np.array_equal(gaussian_increments(seed, n_paths, n_steps, dt),
+                          chunk_reference(seed, 0, n_paths, n_steps, dt))
+
+
+def test_terminal_states_bound_the_draw_buffer(monkeypatch):
+    # a 512-path draw at 4000 steps would be 16 MiB per thread; a draw holds at
+    # most _DRAW_FLOATS normals, so two threads hold at most 2 x 4 MiB
+    import tracemalloc
+
+    from voctrl.simulate import _DRAW_FLOATS
+
+    set_threads(monkeypatch, 2)
+    problem = make_problem(FractionalKernel(T=2.0, exponent=0.3))
+    grid = TimeGrid(T=2.0, dt=0.0005)
+    u = np.ones(grid.n_steps + 1)
+    _terminal_states(problem, u, grid, 2, seed=1)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        _terminal_states(problem, u, grid, 4200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * _DRAW_FLOATS + 2**20
 
 
 def test_increment_moments():
@@ -503,21 +540,68 @@ def test_grid_horizon_must_match(fractional_kernel):
         simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 0, seed=1)
 
 
-@dataclass(frozen=True, kw_only=True)
-class CountingKernel(FractionalKernel):
-    shapes: list = field(default_factory=list)
-
-    def __call__(self, t):
-        self.shapes.append(np.shape(t))
-        return super().__call__(t)
-
-
 def test_kernel_table_is_one_array_call():
     kernel = CountingKernel(T=2.0, exponent=0.3)
     grid = TimeGrid(T=2.0, dt=0.001)
     ktab = _kernel_table(make_problem(kernel), grid)
     assert kernel.shapes == [(2001,)]
     assert np.array_equal(ktab, [FractionalKernel(T=2.0, exponent=0.3)(j * grid.dt) for j in range(2001)])
+
+
+def test_kept_solve_serves_the_same_kernel_beta_and_grid(resolvent_calls):
+    # x0 and sigma do not enter (ktab, rho): a problem differing in them shares the solve
+    kernel = CountingKernel(T=2.0, exponent=0.3)
+    problem = make_problem(kernel)
+    ktab, rho = _trapezoid_resolvent(problem, TimeGrid(T=2.0, dt=0.01))
+    again = _trapezoid_resolvent(replace(problem, x0=0.5, sigma=0.0), TimeGrid(T=2.0, dt=0.01))
+    assert again[0] is ktab and again[1] is rho
+    assert resolvent_calls == [201] and kernel.shapes == [(201,)]
+
+
+@pytest.mark.parametrize("change", ["beta", "sign of beta", "grid", "equal kernel"])
+def test_kept_solve_is_recomputed_on_any_other_key(change, resolvent_calls):
+    # on K = -0.0, rho[1] is -0.0 at beta = 0.0 and +0.0 at beta = -0.0
+    kernel = (TabulatedKernel(T=2.0, times=(0.0, 2.0), values=(-0.0, -0.0), holder_h=1.0, holder_H=1.0)
+              if change == "sign of beta" else FractionalKernel(T=2.0, exponent=0.3))
+    problem, grid = make_problem(kernel, beta=0.0), TimeGrid(T=2.0, dt=0.5)
+    other, other_grid = {
+        "beta": (replace(problem, beta=0.5), grid),
+        "sign of beta": (replace(problem, beta=-0.0), grid),
+        "grid": (problem, TimeGrid(T=2.0, dt=0.25)),
+        "equal kernel": (replace(problem, kernel=replace(kernel)), grid),
+    }[change]
+    assert other.kernel == kernel  # equal values are not enough: the key is the object
+    _trapezoid_resolvent(problem, grid)
+    ktab, rho = _trapezoid_resolvent(other, other_grid)
+    assert len(resolvent_calls) == 2
+    voctrl.simulate._last_solve = None
+    cold = _trapezoid_resolvent(other, other_grid)
+    assert ktab.tobytes() == cold[0].tobytes() and rho.tobytes() == cold[1].tobytes()
+
+
+def test_kept_solve_is_read_only(fractional_kernel):
+    for arr in _trapezoid_resolvent(make_problem(fractional_kernel), TimeGrid(T=2.0, dt=0.1)):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class NanKernel(Kernel):
+    def _value(self, t):
+        return np.full_like(t, np.nan)
+
+
+def test_non_finite_kernel_table_raises_every_time_and_is_not_kept(resolvent_calls):
+    grid = TimeGrid(T=2.0, dt=0.1)
+    bad = make_problem(NanKernel(T=2.0))
+    for _ in range(2):
+        with pytest.raises(SimulationError, match="kernel produced non-finite values"):
+            deterministic_mean(bad, one, grid)
+    good = make_problem(FractionalKernel(T=2.0, exponent=0.3))
+    m = deterministic_mean(good, one, grid)
+    assert resolvent_calls == [21]
+    voctrl.simulate._last_solve = None
+    assert np.array_equal(m, deterministic_mean(good, one, grid))
 
 
 def test_control_values_is_one_array_call(fractional_kernel):
