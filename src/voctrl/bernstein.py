@@ -11,8 +11,9 @@ h-Holder kernel satisfies the uniform bound
 
 K_n is a ``PolynomialKernel``: its monomial coefficients kappa
 (K_n(t) = sum_k kappa[k] t**k, the kernel's ``coeffs``) are what make it
-liftable, so they are the main product here.  It evaluates in the stable
-Bernstein basis, not from kappa.
+liftable, so they are the main product here.  It evaluates from its node
+values in the Bernstein form, by Horner's rule from the nearer endpoint
+(see ``BernsteinKernel._value``), not from kappa.
 """
 
 import math
@@ -70,21 +71,42 @@ class BernsteinKernel(PolynomialKernel):
     __call__ = Kernel.__call__
 
     def _value(self, t):
-        """K_n(t) in the Bernstein basis (de Casteljau recursion).
+        """K_n(t) by Horner's rule in the Bernstein form, from the nearer endpoint.
 
-        Numerically stable for any n <= N_CAP.  Each level is updated in place
-        through one preallocated buffer, so no temporaries are allocated per
-        level.
+        With x = t/T and f_k = ``node_values``, for x <= 1/2
+
+            K_n = f_0 + (1 - x)**n * sum_k C(n, k) (f_k - f_0) s**k,   s = x/(1 - x),
+
+        and for x > 1/2 the mirror image about f_n, with s = (1 - x)/x.  So
+        s <= 1 on both halves, a node costs n Horner steps, constants come
+        out exactly, and K_n(0) = f_0, K_n(T) = f_n bit for bit.  The error is
+        at most a small multiple of n * eps * (sum_k |f_k| B_k(x) + |f_e|), f_e
+        the half's endpoint value (Farouki & Rajan, CAGD 4, 1987).  The node
+        values are scaled by a power of two, exactly, whenever the weights or
+        the Horner sums (up to 2**(n+1) max |f_k|) could overflow.
         """
+        n = self.n
+        top = math.frexp(float(np.abs(self.node_values).max()))[1]
+        e = max(0, top + n + 2 - 1023)
+        f = np.ldexp(self.node_values, -e)
+        binom = np.array([float(math.comb(n, k)) for k in range(n + 1)])
         x = t / self.T
         y = 1.0 - x
-        b = np.repeat(self.node_values[:, None], len(x), axis=1)
-        tmp = np.empty((self.n, len(x)))
-        for m in range(self.n, 0, -1):
-            np.multiply(x, b[1 : m + 1], out=tmp[:m])
-            b[:m] *= y
-            b[:m] += tmp[:m]
-        return b[0].copy()
+        low = x <= 0.5
+        out = np.empty_like(x)
+        for half, near, far, f_e, w in ((low, y, x, f[0], binom * (f - f[0])),
+                                        (~low, x, y, f[n], (binom * (f - f[n]))[::-1])):
+            a = near[half]
+            s = far[half] / a
+            acc = np.full_like(s, w[n])
+            for k in range(n - 1, -1, -1):
+                acc *= s
+                acc += w[k]
+            acc *= a**n
+            acc += f_e
+            out[half] = acc
+        out *= math.ldexp(1.0, e)
+        return out
 
 
 def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:

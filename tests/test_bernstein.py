@@ -1,6 +1,9 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
@@ -137,6 +140,99 @@ def test_endpoint_interpolation():
         bk = bernstein_kernel(kernel, 20)
         assert abs(bk(0.0) - kernel(0.0)) <= 1e-10 * max(1.0, abs(kernel(0.0)))
         assert abs(bk(2.0) - kernel(2.0)) <= 1e-10 * max(1.0, abs(kernel(2.0)))
+
+
+# a sign-changing source whose K_n is not small next to sum_k |f_k| B_k
+SIGN_CHANGING = PolynomialKernel(T=2.0, coeffs=(0.5, -3.0, 1.5, 0.75, -0.5))
+
+
+SOURCES = (FractionalKernel(T=2.0, exponent=0.3), GammaKernel(T=2.0, rate=1.0, exponent=0.3),
+           FractionalKernel(T=2.0, exponent=1.1), SIGN_CHANGING)
+
+
+def _around_half(T):
+    """T/2, where the evaluation switches from the f_0 half to the f_n half, and
+    the doubles on each side of it."""
+    return (np.nextafter(T / 2, 0.0), T / 2, np.nextafter(T / 2, T))
+
+
+@pytest.mark.parametrize("n", range(N_CAP + 1))
+def test_exact_constants_endpoints_and_branch_switch(n):
+    ts = uniform_grid(2.0, 2001)
+    for c in (3.7, -0.1, 1e-300):
+        assert np.all(bernstein_kernel(PolynomialKernel(T=2.0, coeffs=(c,)), n)(ts) == c)
+    for source in SOURCES:
+        bk = bernstein_kernel(source, n)
+        assert bk(0.0) == bk.node_values[0] and bk(2.0) == bk.node_values[-1]
+        near = np.array(_around_half(2.0))
+        table = bk(np.concatenate([ts[:7], near, ts[-7:]]))
+        assert [bk(t) for t in near] == list(table[7:10])
+
+
+def _exact_bernstein(node_values, T, ts):
+    """K_n and sum_k |f_k| B_k at each time, summed in 50-digit arithmetic."""
+    n = len(node_values) - 1
+    exact, scale = [], []
+    with mpmath.workdps(50):
+        f = [mpmath.mpf(float(v)) for v in node_values]
+        for t in ts:
+            x = mpmath.mpf(float(t)) / mpmath.mpf(T)
+            basis = [mpmath.binomial(n, k) * x**k * (1 - x) ** (n - k) for k in range(n + 1)]
+            exact.append(mpmath.fsum(fk * b for fk, b in zip(f, basis)))
+            scale.append(mpmath.fsum(abs(fk) * b for fk, b in zip(f, basis)))
+    return exact, scale
+
+
+def _assert_within_bound(bk, ts):
+    # |K_n - exact| <= c (n + 1) eps sum_k |f_k| B_k with c = 2.  The largest
+    # measured ratio to (n + 1) eps sum_k |f_k| B_k is 0.73 on the four
+    # sources (SIGN_CHANGING, n = 25, just below T/2) and 1.15 on the
+    # near-overflow source (n = 25, t = 0.35).  The scheme's bound also
+    # carries the half's endpoint value |f_0| or |f_n|; that term is what
+    # lifts the near-overflow case, where |f_0| is 2.2 sum_k |f_k| B_k.
+    c = 2.0
+    exact, scale = _exact_bernstein(bk.node_values, bk.T, ts)
+    got = bk(ts)
+    eps = np.finfo(float).eps
+    for t, v, ex, sc in zip(ts, got, exact, scale):
+        err = abs(mpmath.mpf(float(v)) - ex)
+        assert err <= c * (bk.n + 1) * eps * sc, (bk.n, t, float(err), float(sc))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 25])
+def test_evaluation_accuracy_against_50_digit_sum(n):
+    ts = np.concatenate([uniform_grid(2.0, 41), _around_half(2.0), [1e-9, 2.0 - 2e-9]])
+    for source in SOURCES:
+        _assert_within_bound(bernstein_kernel(source, n), ts)
+
+
+def test_node_values_near_overflow_stay_finite():
+    # |f_k| up to 1e306 with both signs: C(25, 12) (f_k - f_0) alone would
+    # overflow, so the weights must be scaled
+    source = PolynomialKernel(T=1.0, coeffs=(1e306, -6e306, 5e306))
+    bk = bernstein_kernel(source, 25)
+    assert bk.node_values.min() < -5e305 and bk.node_values.max() == 1e306
+    ts = np.concatenate([uniform_grid(1.0, 41), _around_half(1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = bk(ts)
+        _assert_within_bound(bk, ts)
+    assert np.all(np.isfinite(values))
+
+
+def test_evaluation_memory_is_a_few_node_arrays(fractional_kernel):
+    # measured: 6.9 node arrays, with the time check's clamped copy; the
+    # de Casteljau table this replaced peaked at 58
+    bk = bernstein_kernel(fractional_kernel, 25)
+    ts = uniform_grid(2.0, 2001)
+    bk(ts)
+    tracemalloc.start()
+    try:
+        bk(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * ts.nbytes, peak / ts.nbytes
 
 
 def test_degree_cap():
