@@ -62,7 +62,7 @@ def evaluate_J_mc(problem: ControlProblem, control, grid: TimeGrid, n_paths: int
 
     X(T) of path p is ``simulate_paths(...).paths[p, -1]`` up to rounding,
     from the same noise, but comes from ``_terminal_states`` without forming
-    the paths: memory is 4 MiB of draws per thread plus O(n_steps +
+    the paths: memory is 512 KiB of draws per thread plus O(n_steps +
     n_paths).  The control is evaluated once, on the grid nodes.
     """
     if n_paths < 2:

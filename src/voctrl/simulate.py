@@ -55,10 +55,10 @@ its values are bit-identical whatever the thread count or ``n_paths``.
 
 A Monte-Carlo objective reads X only at T, and X_N = m_N + sigma sum_j
 c[N-j] dW_j is one weight vector dotted with each path's noise, so
-``_terminal_states`` reduces every draw (at most 512 paths and, unless one
-path needs more, 2**19 normals) to X(T) in the thread that drew it, one
+``_terminal_states`` reduces every draw (``_DRAW_FLOATS`` = 2**16 normals,
+unless one path needs more) to X(T) in the thread that drew it, one
 fixed-order einsum dot per path and no BLAS call: no path array exists,
-memory is 4 MiB of draws per thread plus O(N + P), and the work is the draw
+memory is 512 KiB of draws per thread plus O(N + P), and the work is the draw
 plus N multiply-adds per path instead of the stripes' 0.63 * N**2.  X(T) of path p
 matches ``paths[p, -1]`` to rounding and, like it, depends neither on the
 thread count nor on ``n_paths``.
@@ -88,8 +88,7 @@ DEFAULT_BACKEND = "numpy"
 _MASK64 = (1 << 64) - 1
 _PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
 _BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the threads
-_DRAW_PATHS = 512  # most paths per draw
-_DRAW_FLOATS = 1 << 19  # most normals per draw unless one path needs more: 4 MiB per thread
+_DRAW_FLOATS = 1 << 16  # most normals per draw unless one path needs more: 512 KiB per thread
 _LEAF_STEPS = 16  # rows of the first stripe; each later stripe doubles the rows done
 _STRIPE = 128  # most rows per stripe: the stripe buffer is _STRIPE * _BLOCK_PATHS floats
 
@@ -106,7 +105,9 @@ class TimeGrid:
             raise DomainError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 < self.T < math.inf:
             raise DomainError(f"T must be positive and finite, got {self.T}")
-        if abs(self.n_steps * self.dt - self.T) > 1e-12:
+        # a mesh that divides T in decimals lands within about 2 ulps of T
+        # (dt's rounding times n_steps, the product's and T's): allow 4
+        if abs(self.n_steps * self.dt - self.T) > 4 * math.ulp(self.T):
             raise DomainError(f"grid mesh {self.dt} does not divide horizon {self.T} evenly")
 
     @property
@@ -132,14 +133,14 @@ def _chunk_draws(seed: int, first_path: int, n_paths: int, n_steps: int):
 
     ``first_path`` starts a chunk: a multiple of ``_BLOCK_PATHS``, with
     n_paths at most ``_BLOCK_PATHS``.  The chunk's own stream is drawn
-    path-major into one reused buffer, ``_DRAW_PATHS`` paths at a time, fewer
-    where that would pass ``_DRAW_FLOATS`` normals (splitting a fill does not
+    path-major into one reused buffer, as many whole paths at a time as fit
+    in ``_DRAW_FLOATS`` normals, at least one (splitting a fill does not
     change the stream); each draw is yielded as (offset in the chunk, (k,
     n_steps) view of the buffer), valid until the next one.
     """
     chunk = first_path // _BLOCK_PATHS
     gen = np.random.Generator(np.random.Philox(key=seed & _MASK64, counter=[0, 0, 0, chunk]))
-    per_draw = min(_DRAW_PATHS, max(1, _DRAW_FLOATS // n_steps))
+    per_draw = max(1, _DRAW_FLOATS // n_steps)
     buf = np.empty((min(per_draw, n_paths), n_steps))
     for a in range(0, n_paths, per_draw):
         k = min(per_draw, n_paths - a)

@@ -17,6 +17,7 @@ from voctrl import (
     TabulatedKernel,
     TimeGrid,
     deterministic_mean,
+    evaluate_J_mc,
     gaussian_increments,
     lq_oracle,
     optimal_control_poly,
@@ -54,6 +55,16 @@ def test_time_grid_rejects_uneven_mesh():
         TimeGrid(T=1.0, dt=0.3)
     with pytest.raises(DomainError):
         TimeGrid(T=1.0, dt=-0.1)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.05, 0.01])
+def test_time_grid_allows_rounding_of_a_long_horizon(dt):
+    # n_steps * dt - T is one ulp of T = 10000.3 for each of these meshes:
+    # rounding, not an uneven mesh; a mesh off by 1e-9 T is one
+    grid = TimeGrid(T=10000.3, dt=dt)
+    assert grid.n_steps == round(10000.3 / dt)
+    with pytest.raises(DomainError):
+        TimeGrid(T=10000.3, dt=dt * (1 + 1e-9))
 
 
 @pytest.mark.parametrize("T, dt", [(1.0, math.inf), (math.inf, 0.1), (1.0, math.nan)],
@@ -190,15 +201,16 @@ def test_simulation_holds_one_stripe_buffer(dt, n_paths, beta):
 
 
 def test_long_paths_are_drawn_in_smaller_fills_of_the_same_stream():
-    # at 4000 steps a draw holds 131 paths, not 512: the chunk's stream is the same
+    # at 4000 steps a draw holds 16 paths: the chunk's stream is the same
     seed, n_paths, n_steps, dt = 77, 300, 4000, 0.0005
     assert np.array_equal(gaussian_increments(seed, n_paths, n_steps, dt),
                           chunk_reference(seed, 0, n_paths, n_steps, dt))
 
 
 def test_terminal_states_bound_the_draw_buffer(monkeypatch):
-    # a 512-path draw at 4000 steps would be 16 MiB per thread; a draw holds at
-    # most _DRAW_FLOATS normals, so two threads hold at most 2 x 4 MiB
+    # a draw holds at most _DRAW_FLOATS normals whatever the step count, so
+    # at 4000 steps two threads hold 8 P + 2 x 8 _DRAW_FLOATS bytes, with
+    # 512 KiB for the O(N) arrays and the rest
     import tracemalloc
 
     from voctrl.simulate import _DRAW_FLOATS
@@ -207,14 +219,41 @@ def test_terminal_states_bound_the_draw_buffer(monkeypatch):
     problem = make_problem(FractionalKernel(T=2.0, exponent=0.3))
     grid = TimeGrid(T=2.0, dt=0.0005)
     u = np.ones(grid.n_steps + 1)
+    n_paths = 4200
     _terminal_states(problem, u, grid, 2, seed=1)  # lazy imports and caches
     tracemalloc.start()
     try:
-        _terminal_states(problem, u, grid, 4200, seed=1)
+        _terminal_states(problem, u, grid, n_paths, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * _DRAW_FLOATS + 2**20
+    assert peak <= 8 * n_paths + 2 * 8 * _DRAW_FLOATS + 2**19
+
+
+def test_draw_size_changes_no_bit(monkeypatch):
+    # the draw budget only sets how many paths one fill holds: a split fill
+    # continues the chunk's own generator and the einsum reduces each row on
+    # its own, so one path per draw and a ragged last draw (3 paths per draw,
+    # and no chunk holds a multiple of 3) give the same bits as the default
+    problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), x0=0.3)
+    grid = TimeGrid(T=2.0, dt=0.05)
+    n_steps, n_paths = grid.n_steps, 4200
+    ctl = np.cos(grid.nodes)
+    set_threads(monkeypatch, 2)
+
+    def runs():
+        mc = evaluate_J_mc(problem, np.cos, grid, n_paths, seed=9)
+        return (gaussian_increments(9, n_paths, n_steps, grid.dt),
+                _terminal_states(problem, ctl, grid, n_paths, seed=9),
+                simulate_paths(problem, np.cos, grid, n_paths, seed=9).paths,
+                np.array([mc.j_estimate, mc.std_error]))
+
+    monkeypatch.setattr(voctrl.simulate, "_DRAW_FLOATS", 2**16)
+    reference = runs()
+    for draw_floats in (n_steps, 3 * n_steps + 1):
+        monkeypatch.setattr(voctrl.simulate, "_DRAW_FLOATS", draw_floats)
+        for got, want in zip(runs(), reference):
+            assert np.array_equal(got, want), draw_floats
 
 
 def test_increment_moments():
@@ -387,13 +426,15 @@ def test_paths_do_not_depend_on_path_count(n_paths, workers, long_run, monkeypat
                                     MonomialKernel(T=2.0, degree=2)], ids=["t^0", "t^0.3", "t^2"])
 def test_terminal_states_are_path_ends(kernel, beta):
     # X(T) = m_N + c-row @ sigma dW summed in another order than the
-    # stripes' last row, so the two agree to rounding; 600 paths cross a
-    # 512-path draw
+    # stripes' last row, so the two agree to rounding; the paths cross a draw
+    from voctrl.simulate import _DRAW_FLOATS
+
     problem = make_problem(kernel, beta=beta, x0=0.3)
     grid = TimeGrid(T=2.0, dt=0.02)
+    n_paths = _DRAW_FLOATS // grid.n_steps + 100
     control = lambda t: 1.0 + t
-    ends = simulate_paths(problem, control, grid, 600, seed=77).paths[:, -1]
-    xT = _terminal_states(problem, _control_values(control, grid.nodes), grid, 600, seed=77)
+    ends = simulate_paths(problem, control, grid, n_paths, seed=77).paths[:, -1]
+    xT = _terminal_states(problem, _control_values(control, grid.nodes), grid, n_paths, seed=77)
     assert np.abs(xT - ends).max() <= 1e-13 * np.abs(ends).max()
 
 
@@ -408,8 +449,8 @@ def long_terminal_run():
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n_paths", [1, 2, 513, 4097, 8193])
 def test_terminal_states_do_not_depend_on_path_count(n_paths, workers, long_terminal_run, monkeypatch):
-    # 513 crosses a draw and 4097 a chunk; 8193 is the long run itself, so
-    # it is a rerun on another thread count
+    # 513 ends inside a draw and 4097 crosses two draws and a chunk; 8193 is
+    # the long run itself, so it is a rerun on another thread count
     problem, ctl, grid, long = long_terminal_run
     set_threads(monkeypatch, workers)
     assert np.array_equal(_terminal_states(problem, ctl, grid, n_paths, seed=13), long[:n_paths])
