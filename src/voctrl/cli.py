@@ -2,7 +2,10 @@
 
 Commands read one INI config (see voctrl.config), apply flag overrides, and
 write CSV/JSON artifacts into the output directory; ``--m`` is read by the
-config's own ``[lift] M`` entry.  Runs are deterministic given the config,
+config's own ``[lift] M`` entry.  Every command builds all of its artifacts
+first and ends in one ``_write_artifacts`` call, which serializes each JSON
+document before it creates the directory: a command that fails writes
+nothing, no file and no directory.  Runs are deterministic given the config,
 including seeds, so re-runs are byte-identical.  VOC_THREADS, the only thread
 setting, bounds the threads that draw simulation noise (default: the usable
 CPUs) without changing any output.  ``_control`` poses the problem on each
@@ -57,20 +60,30 @@ def _json_text(path: Path, obj) -> str:
         raise NumericRangeError(f"{path}: {exc}") from None
 
 
-def _write_json(path: Path, obj):
-    """Strict sorted JSON, serialized first: a failure leaves no partial file."""
-    path.write_text(_json_text(path, obj))
+def _write_json(path: Path, text: str):
+    """Write JSON text that ``_json_text`` serialized."""
+    path.write_text(text)
+
+
+def _write_artifacts(cfg: RunConfig, files) -> list[Path]:
+    """Write ``files``, (file name, JSON object or (header, columns) table)
+    pairs, into the output directory in order and return their paths.  Every
+    JSON object is serialized before the directory is created, so a value
+    JSON cannot hold raises with nothing written."""
+    out = Path(cfg.output_dir)
+    texts = {name: _json_text(out / name, c) for name, c in files if isinstance(c, dict)}
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files:
+        if name in texts:
+            _write_json(out / name, texts[name])
+        else:
+            _write_csv(out / name, *content)
+    return [out / name for name, _ in files]
 
 
 def _finite_or_none(x: float):
     """JSON has no infinity: a bound that does not apply is written as null."""
     return x if np.isfinite(x) else None
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _control(cfg: RunConfig, problem, n: int):
@@ -96,27 +109,24 @@ def _parse_n_list(text: str) -> list[int]:
 
 def cmd_kernel_approx(cfg: RunConfig, grid_points: int = 400) -> list[Path]:
     r = uniform_error_report(cfg.kernel(), cfg.n, grid_points)
-    out = _out_dir(cfg)
-    csv_path = out / "kernel_approx.csv"
-    _write_csv(csv_path, ["t", "K", "K_n", "abs_error"],
-               (r.ts, r.exact, r.approx, np.abs(r.exact - r.approx)))
-    json_path = out / "kernel_approx_summary.json"
-    _write_json(json_path, {"n": cfg.n, "sup_error": r.sup_error, "bound": _finite_or_none(r.bound)})
-    return [csv_path, json_path]
+    return _write_artifacts(cfg, [
+        ("kernel_approx.csv", (["t", "K", "K_n", "abs_error"],
+                               (r.ts, r.exact, r.approx, np.abs(r.exact - r.approx)))),
+        ("kernel_approx_summary.json",
+         {"n": cfg.n, "sup_error": r.sup_error, "bound": _finite_or_none(r.bound)}),
+    ])
 
 
 def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
     problem = cfg.problem()
-    out = Path(cfg.output_dir)
     ts = np.linspace(0.0, problem.T, 200)
-    files = []  # (path, JSON text or CSV header and columns): all built before any is written
+    files = []
     for n in ns:
         cp = _control(cfg, problem, n)
         vf = value_function(problem, cp)
         stem = f"control_n{n}" if len(ns) > 1 else "control"
-        files.append((out / f"{stem}.csv", (["t", "u_hat"], (ts, cp(ts)))))
-        json_path = out / f"{stem}.json"
-        files.append((json_path, _json_text(json_path, {
+        files.append((f"{stem}.csv", (["t", "u_hat"], (ts, cp(ts)))))
+        files.append((f"{stem}.json", {
             "scale": cp.scale,
             "coeffs": list(map(float, cp.coeffs)),
             "M": cp.M,
@@ -124,17 +134,11 @@ def cmd_control(cfg: RunConfig, ns: list[int]) -> list[Path]:
             "trunc_bound": _finite_or_none(cp.trunc_bound_at_0),
             "bound_valid": cp.bound_valid,
             "predicted_optimal_J": vf.predicted_optimal_J,
-        })))
+        }))
     if isinstance(problem.kernel, MonomialKernel):
-        files.append((out / "control_reference.csv",
+        files.append(("control_reference.csv",
                       (["t", "u_exact"], (ts, monomial_closed_form(problem, ts)))))
-    _out_dir(cfg)
-    for path, content in files:
-        if isinstance(content, str):
-            path.write_text(content)
-        else:
-            _write_csv(path, *content)
-    return [path for path, _ in files]
+    return _write_artifacts(cfg, files)
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
@@ -143,25 +147,17 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     problem = cfg.problem()
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
     cp = _control(cfg, problem, cfg.n)
-    out = _out_dir(cfg)
-    written = []
-    summary = {"n_paths": cfg.n_paths, "seed": cfg.seed}
+    header = ["t"] + [f"path_{p + 1}" for p in range(cfg.n_paths)]
+    files, stats = [], []
     for label, control in (("controlled", cp), ("uncontrolled", lambda t: 0.0)):
-        batch = simulate_paths(problem, control, grid, cfg.n_paths, cfg.seed)
-        csv_path = out / f"paths_{label}.csv"
-        header = ["t"] + [f"path_{p + 1}" for p in range(cfg.n_paths)]
-        _write_csv(csv_path, header, (grid.nodes, batch.paths.T))
-        xT = batch.paths[:, -1]
-        stats = {"mean_XT": float(xT.mean()), "var_XT": float(xT.var(ddof=1))}
-        if label == "controlled":
-            summary.update(stats)
-        else:
-            summary["zero_control"] = stats
-        written.append(csv_path)
-    json_path = out / "simulate_summary.json"
-    _write_json(json_path, summary)
-    written.append(json_path)
-    return written
+        paths = simulate_paths(problem, control, grid, cfg.n_paths, cfg.seed).paths
+        files.append((f"paths_{label}.csv", (header, (grid.nodes, paths.T))))
+        xT = paths[:, -1]
+        # an overflowing statistic is named by the strict JSON, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats.append({"mean_XT": float(xT.mean()), "var_XT": float(xT.var(ddof=1))})
+    summary = {"n_paths": cfg.n_paths, "seed": cfg.seed, **stats[0], "zero_control": stats[1]}
+    return _write_artifacts(cfg, [*files, ("simulate_summary.json", summary)])
 
 
 def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
@@ -181,12 +177,10 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
         rate_proxy = gap * n ** (h / 2.0) if n > 0 else float("nan")
         sup_dist = float("nan") if exact is None else float(np.abs(cp(ts) - exact).max())
         rows.append((n, j_hat, oracle.j_opt, gap, rate_proxy, sup_dist))
-    out = _out_dir(cfg)
-    csv_path = out / "convergence.csv"
-    _write_csv(csv_path,
-               ["n", "J_hat", "J_oracle_proxy", "gap_proxy", "rate_proxy", "supdist_closed_form"],
-               tuple(zip(*rows)))
-    return [csv_path]
+    return _write_artifacts(cfg, [
+        ("convergence.csv", (["n", "J_hat", "J_oracle_proxy", "gap_proxy", "rate_proxy",
+                              "supdist_closed_form"], tuple(zip(*rows)))),
+    ])
 
 
 def cmd_oracle(cfg: RunConfig) -> list[Path]:
@@ -199,17 +193,15 @@ def cmd_oracle(cfg: RunConfig) -> list[Path]:
     uh = cp(grid.nodes)
     diff = np.abs(oracle.u_values - uh)
     j_hat = evaluate_J_deterministic(problem, cp, grid).j_estimate
-    out = _out_dir(cfg)
-    csv_path = out / "oracle.csv"
-    _write_csv(csv_path, ["t", "u_star", "u_hat_nM", "abs_diff"],
-               (grid.nodes, oracle.u_values, uh, diff))
-    json_path = out / "oracle_summary.json"
-    _write_json(json_path, {
-        "J_opt_oracle": oracle.j_opt,
-        "J_hat": j_hat,
-        "sup_diff": float(diff.max()),
-    })
-    return [csv_path, json_path]
+    return _write_artifacts(cfg, [
+        ("oracle.csv", (["t", "u_star", "u_hat_nM", "abs_diff"],
+                        (grid.nodes, oracle.u_values, uh, diff))),
+        ("oracle_summary.json", {
+            "J_opt_oracle": oracle.j_opt,
+            "J_hat": j_hat,
+            "sup_diff": float(diff.max()),
+        }),
+    ])
 
 
 @click.group()

@@ -215,7 +215,7 @@ def _control_values(control, nodes) -> np.ndarray:
 
 
 def _kernel_table(problem: ControlProblem, grid: TimeGrid) -> np.ndarray:
-    if abs(grid.T - problem.T) > 1e-12:
+    if abs(grid.T - problem.T) > 4 * math.ulp(problem.T):  # TimeGrid's rounding rule
         raise DomainError("grid horizon does not match the problem horizon")
     # tabulate once; the inner loops only ever need K on the grid offsets
     ktab = problem.kernel(grid.nodes)

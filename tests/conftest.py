@@ -3,6 +3,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import voctrl.simulate
 from voctrl import ControlProblem, FractionalKernel, GammaKernel, MonomialKernel
@@ -39,6 +40,18 @@ def gamma_kernel():
 @pytest.fixture
 def square_kernel():
     return MonomialKernel(T=2.0, degree=2)
+
+
+def trapezoid_operator(ktab, dt):
+    """Dense lower-triangular trapezoidal product-quadrature operator A of
+    the scheme: row i discretizes int_0^{t_i} K(t_i - s) f(s) ds with half
+    weights on column 0 and on the diagonal; row 0 is empty."""
+    n_steps = len(ktab) - 1
+    A = dt * toeplitz(ktab, np.zeros(n_steps + 1))
+    A[1:, 0] *= 0.5
+    A[np.arange(1, n_steps + 1), np.arange(1, n_steps + 1)] *= 0.5
+    A[0] = 0.0
+    return A
 
 
 def grid_sup(f, g, ts):

@@ -261,12 +261,51 @@ def test_simulate_needs_two_paths(tmp_path, capsys, argv):
 
 
 def test_json_that_cannot_hold_a_value_leaves_no_file(tmp_path):
-    from voctrl.cli import _write_json
+    # the table listed first is not written either: every document is
+    # serialized before the directory is created
+    from voctrl.cli import _write_artifacts
+    from voctrl.config import RunConfig
 
-    path = tmp_path / "summary.json"
+    out = tmp_path / "out"
+    files = [("table.csv", (["x"], ([1.0, 2.0],))),
+             ("summary.json", {"ok": 1.0, "var": float("nan")})]
     with pytest.raises(voctrl.NumericRangeError, match="summary.json"):
-        _write_json(path, {"ok": 1.0, "var": float("nan")})
-    assert not path.exists()
+        _write_artifacts(RunConfig(output_dir=str(out)), files)
+    assert not out.exists()
+
+
+def test_simulate_overflowing_variance_writes_nothing(tmp_path, capsys):
+    # the paths stay finite at sigma = 1e160, their sample variance does not:
+    # exit 3 naming the summary, with no numpy warning and no directory
+    import warnings
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text((CONFIGS / "fractional.ini").read_text().replace("sigma = 1.0", "sigma = 1e160"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["--config", str(cfg), "--output-dir", str(out), "simulate", "--n-paths", "50"]
+        assert main(argv) == 3
+    assert "simulate_summary.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _NotWritten(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cmd", [["kernel-approx"], ["control"], ["simulate", "--n-paths", "20"],
+                                 ["oracle"], ["convergence", "--n-list", "1,2"]],
+                         ids=lambda cmd: cmd[0])
+def test_every_command_writes_only_through_the_helper(tmp_path, monkeypatch, cmd):
+    def refuse(cfg, files):
+        raise _NotWritten
+
+    monkeypatch.setattr("voctrl.cli._write_artifacts", refuse)
+    out = tmp_path / "out"
+    with pytest.raises(_NotWritten):
+        main(["--config", str(CONFIGS / "fractional.ini"), "--output-dir", str(out), *cmd])
+    assert not out.exists()
 
 
 def test_simulate_zero_noise_tracks_mean(tmp_path):

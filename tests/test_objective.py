@@ -24,7 +24,7 @@ from voctrl import (
 from voctrl.objective import _trapezoid_weights
 from voctrl.simulate import _kernel_table
 
-from .conftest import CountingControl, CountingKernel, make_problem
+from .conftest import CountingControl, CountingKernel, make_problem, trapezoid_operator
 
 
 def zero(t):
@@ -227,23 +227,8 @@ def test_oracle_matches_monomial_closed_form():
     assert np.abs(oracle.u_values - closed).max() <= 1e-2
 
 
-def _quadrature_operator(ktab, dt):
-    """Dense lower-triangular trapezoidal product-quadrature operator A.
-
-    Row i discretizes int_0^{t_i} K(t_i - s) f(s) ds with the weights of the
-    mean equation's sweep; row 0 is empty.
-    """
-    n = len(ktab) - 1
-    A = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        A[i, 1:i] = dt * ktab[i - 1 : 0 : -1]
-        A[i, 0] = 0.5 * dt * ktab[i]
-        A[i, i] = 0.5 * dt * ktab[0]
-    return A
-
-
 def _dense_mean(problem, grid, u):
-    A = _quadrature_operator(_kernel_table(problem, grid), grid.dt)
+    A = trapezoid_operator(_kernel_table(problem, grid), grid.dt)
     S = np.eye(grid.n_steps + 1) + problem.beta * A
     return solve_triangular(S, problem.x0 + problem.alpha * (A @ u), lower=True)
 
@@ -256,7 +241,7 @@ def _grid_objective(problem, grid, u):
 
 def _dense_oracle_control(problem, grid):
     # u* = alpha a2 b / (2 a1 w) with b = A^T (I + beta A)^{-T} e_N
-    A = _quadrature_operator(_kernel_table(problem, grid), grid.dt)
+    A = trapezoid_operator(_kernel_table(problem, grid), grid.dt)
     S = np.eye(grid.n_steps + 1) + problem.beta * A
     e_last = np.zeros(grid.n_steps + 1)
     e_last[-1] = 1.0

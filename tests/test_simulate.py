@@ -31,7 +31,7 @@ from voctrl.simulate import (
     _trapezoid_resolvent,
 )
 
-from .conftest import CountingControl, CountingKernel, make_problem
+from .conftest import CountingControl, CountingKernel, make_problem, trapezoid_operator
 
 
 def zero(t):
@@ -65,6 +65,19 @@ def test_time_grid_allows_rounding_of_a_long_horizon(dt):
     assert grid.n_steps == round(10000.3 / dt)
     with pytest.raises(DomainError):
         TimeGrid(T=10000.3, dt=dt * (1 + 1e-9))
+
+
+def test_kernel_table_allows_rounding_of_a_long_horizon():
+    # the grid's T = 100003 * 0.1 is one ulp (1.8e-12) above the problem's
+    # 10000.3, the rounding TimeGrid allows; a coarse mesh keeps the solve small
+    problem = make_problem(FractionalKernel(T=10000.3, exponent=0.3))
+    grid = TimeGrid(T=100003 * 0.1, dt=1000.03)
+    assert grid.T != problem.T
+    assert np.all(np.isfinite(deterministic_mean(problem, zero, grid)))
+    assert np.isfinite(lq_oracle(problem, grid).j_opt)
+    T = 10000.3 * (1 + 1e-9)
+    with pytest.raises(DomainError, match="grid horizon does not match"):
+        deterministic_mean(problem, zero, TimeGrid(T=T, dt=T / 10))
 
 
 @pytest.mark.parametrize("T, dt", [(1.0, math.inf), (math.inf, 0.1), (1.0, math.nan)],
@@ -267,12 +280,9 @@ def dense_scheme(problem, u, grid):
     implicit solve of (I + beta A) X = x0 + alpha A u + sigma L dW: A the
     trapezoidal operator (row 0 zero) and L the left-endpoint one, so X_0 =
     x0 and no X_i sees dW_i or later."""
-    n_steps, dt = grid.n_steps, grid.dt
+    n_steps = grid.n_steps
     ktab = _kernel_table(problem, grid)
-    A = dt * toeplitz(ktab, np.zeros(n_steps + 1))
-    A[1:, 0] *= 0.5
-    A[np.arange(1, n_steps + 1), np.arange(1, n_steps + 1)] *= 0.5
-    A[0] = 0.0
+    A = trapezoid_operator(ktab, grid.dt)
     L = toeplitz(np.concatenate(([0.0], ktab[1:])), np.zeros(n_steps))
     lhs = np.eye(n_steps + 1) + problem.beta * A
     return (solve_triangular(lhs, problem.x0 + problem.alpha * (A @ u), lower=True),
