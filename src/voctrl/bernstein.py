@@ -140,7 +140,6 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
 class ApproximationReport:
     """sup |K - K_n| and its bound, with the uniform grid and both curves on it."""
 
-    n: int
     sup_error: float
     bound: float
     ts: np.ndarray
@@ -163,4 +162,4 @@ def uniform_error_report(source: Kernel, n: int, grid_points: int = 400) -> Appr
     sup_error = float(np.abs(exact - approx).max())
     h, H = source.holder_metadata()
     bound = math.inf if n == 0 else H * source.T**h * 2.0**-h * n ** (-h / 2.0)
-    return ApproximationReport(n=n, sup_error=sup_error, bound=bound, ts=ts, exact=exact, approx=approx)
+    return ApproximationReport(sup_error=sup_error, bound=bound, ts=ts, exact=exact, approx=approx)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bernstein import bernstein_kernel
 from .errors import DomainError, NumericRangeError
-from .kernels import Kernel, MonomialKernel, PolynomialKernel, _check_time
+from .kernels import Kernel, MonomialKernel, PolynomialKernel, _check_time, _horner
 from .lift import LiftedKernel, gamma_table, lift_from_coefficients, operator_norm_bound
 from .mittag_leffler import mittag_leffler
 
@@ -115,12 +115,7 @@ class ControlPolynomial:
     def __call__(self, t):
         """u(t) for a time (returns a float) or an array of times (returns an array)."""
         ts = _check_time(t, self.T)
-        x = self.T - np.atleast_1d(ts)
-        acc = np.zeros_like(x)
-        for c in self.coeffs[::-1]:
-            acc *= x
-            acc += c
-        out = self.scale * acc
+        out = self.scale * _horner(self.coeffs, self.T - np.atleast_1d(ts))
         return float(out[0]) if np.ndim(ts) == 0 else out
 
 

@@ -18,13 +18,15 @@ import numpy as np
 
 from .errors import DomainError, MetadataError
 
-#: relative slack when checking t against [0, T]; grid nodes built as i*dt can
-#: overshoot T by a few ulps.
+#: relative slack when checking t against [0, T]: times within DOMAIN_TOL *
+#: max(1, T) outside it are clamped, which covers the few ulps by which grid
+#: nodes built as i*dt can overshoot T.
 DOMAIN_TOL = 1e-9
 
 
 def _check_time(t, T: float):
-    """Validate times in [0, T] (with ulp slack) and clamp them into the interval.
+    """Validate times in [0, T], up to DOMAIN_TOL * max(1, T) outside it, and
+    clamp them into the interval.
 
     ``t`` is a scalar, which gives a float, or an array, which gives a float
     array of its shape.  A time outside the slack (or NaN) raises
@@ -37,6 +39,15 @@ def _check_time(t, T: float):
         raise DomainError(f"time {float(ts[bad][0])!r} outside kernel domain [0, {T}]")
     clamped = np.minimum(np.maximum(ts, 0.0), T)
     return float(clamped) if clamped.ndim == 0 else clamped
+
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * x**k by Horner's rule, in place on one accumulator."""
+    acc = np.zeros_like(x)
+    for c in reversed(coeffs):
+        acc *= x
+        acc += c
+    return acc
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -54,7 +65,8 @@ class Kernel:
         Holder constant, > 0.
 
     Array fields are stored as read-only copies, so a kernel object never
-    changes: ``simulate`` keys its kept solve on the object.
+    changes: ``objective.lq_oracle`` keys its kept answer on the problem
+    object that holds it.
     """
 
     T: float
@@ -196,11 +208,7 @@ class PolynomialKernel(Kernel):
             raise DomainError("polynomial kernel needs at least one coefficient")
 
     def _value(self, t):
-        acc = np.zeros_like(t)
-        for c in reversed(self.coeffs):
-            acc *= t
-            acc += c
-        return acc
+        return _horner(self.coeffs, t)
 
 
 @dataclass(frozen=True, kw_only=True)

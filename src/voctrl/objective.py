@@ -13,11 +13,13 @@ cost is a positive diagonal quadratic, so the maximizer is the discrete
 beta-resolvent of K read backwards from T.  The oracle reads it, and the
 terminal mean's response to x0, off rho of ``_trapezoid_resolvent``, the one
 solve that the simulator's mean and noise column come from, in O(n_steps)
-memory.  That solve is kept for the last (kernel object, beta, grid), so
-``evaluate_J_deterministic`` after ``lq_oracle`` on one problem, or a
-Monte-Carlo J after either, reuses it.  Sharing the scheme is deliberate:
-comparisons against the lifted closed form isolate method error from
-quadrature error.
+memory.  Sharing the scheme is deliberate: comparisons against the lifted
+closed form isolate method error from quadrature error.
+
+``lq_oracle`` keeps its last answer, for the same problem object (frozen, its
+kernel's arrays read-only) and an equal grid, so ``evaluate_J_deterministic``
+after ``lq_oracle`` on one problem solves once.  That one-entry memo is the
+only state the package keeps between calls.
 """
 
 from dataclasses import dataclass
@@ -33,9 +35,6 @@ from .simulate import TimeGrid, _control_values, _terminal_states, _trapezoid_re
 class ObjectiveReport:
     j_estimate: float
     std_error: float
-    method: str
-    n_paths: int | None = None
-    seed: int | None = None
 
 
 def _trapezoid_weights(n_steps: int, dt: float) -> np.ndarray:
@@ -53,7 +52,7 @@ def evaluate_J_deterministic(problem: ControlProblem, control, grid: TimeGrid) -
     u = _control_values(control, grid.nodes)
     w = _trapezoid_weights(grid.n_steps, grid.dt)
     j = oracle.j_opt - problem.a1 * float(np.dot(w, (u - oracle.u_values) ** 2))
-    return ObjectiveReport(j_estimate=j, std_error=0.0, method="deterministic")
+    return ObjectiveReport(j_estimate=j, std_error=0.0)
 
 
 def evaluate_J_mc(problem: ControlProblem, control, grid: TimeGrid, n_paths: int,
@@ -72,14 +71,16 @@ def evaluate_J_mc(problem: ControlProblem, control, grid: TimeGrid, n_paths: int
     xT = _terminal_states(problem, u, grid, n_paths, seed)
     j = -problem.a1 * float(np.dot(w, u**2)) + problem.a2 * float(xT.mean())
     se = problem.a2 * float(xT.std(ddof=1)) / np.sqrt(n_paths)
-    return ObjectiveReport(j_estimate=j, std_error=se, method="monte_carlo", n_paths=n_paths, seed=seed)
+    return ObjectiveReport(j_estimate=j, std_error=se)
 
 
 @dataclass(frozen=True)
 class OracleSolution:
-    grid: TimeGrid
-    u_values: np.ndarray
+    u_values: np.ndarray  # read-only: a kept solution is shared by its callers
     j_opt: float
+
+
+_last_oracle = None  # (problem, grid, solution) of the last lq_oracle call
 
 
 def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
@@ -98,7 +99,14 @@ def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
     multiplies rho before each dot, so at beta == 0 those terms are exact
     zeros even where the dot would overflow.  Memory is O(n_steps).  A
     non-finite u* or optimum raises ``NumericRangeError``.
+
+    The last solution is served again for the same problem object and an
+    equal grid (see the module docstring).
     """
+    global _last_oracle
+    last = _last_oracle
+    if last is not None and last[0] is problem and last[1] == grid:
+        return last[2]
     n_steps, dt, beta = grid.n_steps, grid.dt, problem.beta
     ktab, rho = _trapezoid_resolvent(problem, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite optimum is rejected below
@@ -112,4 +120,7 @@ def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
         j_opt = -problem.a1 * float(np.dot(w, u_star**2)) + problem.a2 * m_T
     if not (np.isfinite(j_opt) and np.all(np.isfinite(u_star))):
         raise NumericRangeError("the discretized optimum is out of floating-point range")
-    return OracleSolution(grid=grid, u_values=u_star, j_opt=j_opt)
+    u_star.setflags(write=False)
+    solution = OracleSolution(u_values=u_star, j_opt=j_opt)
+    _last_oracle = (problem, grid, solution)
+    return solution

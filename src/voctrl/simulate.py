@@ -22,7 +22,7 @@ trapezoidal column (K_0/2, K_1, .., K_N).  So
 
 with K_left = (0, K_1, .., K_N) and * the convolution cut to N + 1 entries.
 ``_scheme`` gives (m, c) from the one (kernel table, rho) solve of
-``_trapezoid_resolvent``, which the LQ oracle in ``objective`` shares.
+``_trapezoid_resolvent``, which the LQ oracle in ``objective`` reads too.
 
 Noise comes in fixed chunks of ``_BLOCK_PATHS`` paths, each with its own
 stream: Philox keyed by the seed, with the chunk index in the top word of the
@@ -66,8 +66,8 @@ thread count nor on ``n_paths``.
 ``_resolvent(a, beta dt)`` is the one discrete Volterra recursion, for the
 first column ``a`` of a quadrature's lower-triangular Toeplitz matrix: block
 forward substitution in 64-entry blocks, N**2 / 2 multiply-adds in C and
-O(n_steps) memory.  The one column solved is the trapezoidal one, once per
-(kernel object, beta, grid); the last solve is kept.  A zero pivot raises
+O(n_steps) memory.  The one column solved is the trapezoidal one, afresh on
+every call: nothing here keeps state between calls.  A zero pivot raises
 ``NumericRangeError``.
 """
 
@@ -124,8 +124,6 @@ class PathBatch:
     """Simulated goodwill paths: row p is path p on the grid nodes."""
 
     paths: np.ndarray
-    seed: int
-    grid: TimeGrid
 
 
 def _chunk_draws(seed: int, first_path: int, n_paths: int, n_steps: int):
@@ -200,14 +198,13 @@ def _usable_cpus() -> int:
 
 
 def _control_values(control, nodes) -> np.ndarray:
-    """The control on ``nodes``: one call on the node array, or one call per
+    """The control on ``nodes``: one call on the node array, whose result
+    (a constant included) is broadcast to the nodes' shape, or one call per
     node when the control cannot take an array (it raises ``TypeError`` or
-    ``ValueError``, or returns something not shaped like the nodes)."""
+    ``ValueError``, or returns something that does not broadcast)."""
     try:
-        vals = np.asarray(control(nodes), dtype=float)
+        vals = np.broadcast_to(np.asarray(control(nodes), dtype=float), nodes.shape)
     except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != nodes.shape:
         vals = np.array([float(control(t)) for t in nodes])
     if not np.all(np.isfinite(vals)):
         raise SimulationError("control produced non-finite values")
@@ -321,7 +318,7 @@ def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: in
         Xb = X[:, a : a + _BLOCK_PATHS]
         if not _simulate_block(Xb, cc, problem.sigma, m, buf, n_paths - a):
             _check_finite(Xb[:, : n_paths - a], a, dt)
-    return PathBatch(paths=X[:, :n_paths].T, seed=seed, grid=grid)
+    return PathBatch(paths=X[:, :n_paths].T)
 
 
 def _check_finite(Xb: np.ndarray, first_path: int, dt: float, first_step: int = 0) -> None:
@@ -361,30 +358,12 @@ def _terminal_states(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, n_p
     return xT
 
 
-_last_solve = None  # (kernel, (beta, sign of beta, grid), (ktab, rho)) of the last solve
-
-
 def _trapezoid_resolvent(problem: ControlProblem, grid: TimeGrid):
     """(ktab, rho): the kernel table and dt times the resolvent of the
-    trapezoidal column, both read-only; the caller rejects non-finite results.
-
-    The last solve is kept and served again to a call with the same kernel
-    object (``is``, not equal values: kernels are frozen, their arrays
-    read-only), an equal beta of the same sign and an equal grid, which fix
-    the pair, horizon included.  The entry is read once and replaced by one
-    assignment, so a thread race can only cost a recompute.
-    """
-    global _last_solve
-    key = (problem.beta, math.copysign(1.0, problem.beta), grid)
-    last = _last_solve
-    if last is not None and last[0] is problem.kernel and last[1] == key:
-        return last[2]
+    trapezoidal column; the caller rejects non-finite results."""
     ktab = _kernel_table(problem, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         rho = grid.dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), problem.beta * grid.dt)
-    ktab.setflags(write=False)
-    rho.setflags(write=False)
-    _last_solve = (problem.kernel, key, (ktab, rho))
     return ktab, rho
 
 

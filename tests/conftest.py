@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+import voctrl.objective
 import voctrl.simulate
 from voctrl import ControlProblem, FractionalKernel, GammaKernel, MonomialKernel
 
 
 @pytest.fixture(autouse=True)
-def no_kept_solve():
-    """Every test starts without a kept trapezoidal solve, so none passes or
-    fails by the order the tests run in."""
-    voctrl.simulate._last_solve = None
+def no_kept_oracle():
+    """Every test starts without a kept ``lq_oracle`` answer, so none passes
+    or fails by the order the tests run in."""
+    voctrl.objective._last_oracle = None
 
 
 def make_problem(kernel, alpha=1.0, beta=1.0, sigma=1.0, a1=1.0, a2=1.0, x0=0.0):

@@ -232,3 +232,13 @@ def test_array_overshoot_of_a_few_ulps_is_clamped(name):
     under = -1e-12
     assert np.array_equal(f(np.array([under, 1.0, over])), f(np.array([0.0, 1.0, 2.0])))
     assert f(over) == f(2.0)
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_domain_slack_is_1e_9_of_max_1_T(name):
+    # T = 2: times up to 2e-9 outside [0, 2] are clamped, further out raise
+    f = EVALUATORS[name]
+    assert f(2.0 + 1.5e-9) == f(2.0) and f(-1.5e-9) == f(0.0)
+    for t in (2.0 + 2.5e-9, -2.5e-9):
+        with pytest.raises(DomainError, match="outside"):
+            f(t)

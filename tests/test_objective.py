@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-import voctrl.simulate
+import voctrl.objective
 from voctrl import (
     FractionalKernel,
     MonomialKernel,
@@ -36,7 +36,6 @@ def test_deterministic_objective_trivial_dynamics():
     report = evaluate_J_deterministic(problem, zero, TimeGrid(T=2.0, dt=0.1))
     assert report.j_estimate == pytest.approx(3.0 * 0.4, abs=1e-14)
     assert report.std_error == 0.0
-    assert report.method == "deterministic"
 
 
 def test_deterministic_objective_exponential_decay():
@@ -73,6 +72,25 @@ def test_oracle_then_objective_solve_once(resolvent_calls):
     assert report.j_estimate <= oracle.j_opt
 
 
+@pytest.mark.parametrize("change", ["equal problem", "beta", "grid"])
+def test_oracle_memo_serves_only_the_same_problem_object_and_grid(change, resolvent_calls):
+    problem, grid = make_problem(FractionalKernel(T=2.0, exponent=0.3), x0=0.2), TimeGrid(T=2.0, dt=0.5)
+    kept = lq_oracle(problem, grid)
+    assert lq_oracle(problem, TimeGrid(T=2.0, dt=0.5)) is kept
+    assert resolvent_calls == [5]
+    with pytest.raises(ValueError):
+        kept.u_values[0] = 1.0
+    other, other_grid = {
+        "equal problem": (dataclasses.replace(problem), grid),  # equal values are not enough
+        "beta": (dataclasses.replace(problem, beta=0.5), grid),
+        "grid": (problem, TimeGrid(T=2.0, dt=0.25)),
+    }[change]
+    assert lq_oracle(other, other_grid) is not kept
+    assert len(resolvent_calls) == 2
+    if change == "equal problem":
+        assert lq_oracle(other, other_grid).u_values.tobytes() == kept.u_values.tobytes()
+
+
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_kept_solve_changes_no_bit(beta):
     # every consumer of the solve gives the same bits from a cold and a warm entry
@@ -98,7 +116,7 @@ def test_kept_solve_changes_no_bit(beta):
     }
     cold = {}
     for name, run in runs.items():
-        voctrl.simulate._last_solve = None
+        voctrl.objective._last_oracle = None
         cold[name] = np.asarray(run()).tobytes()
     for order in (list(runs), list(runs)[::-1]):
         for name in order:
@@ -111,7 +129,6 @@ def test_monte_carlo_objective_zero_noise(fractional_kernel):
     cp = optimal_control_poly(problem, 10, 30)
     report = evaluate_J_mc(problem, cp, grid, 16, seed=5)
     assert report.std_error == 0.0
-    assert report.method == "monte_carlo"
     # all paths coincide with the single zero-noise trajectory
     single = evaluate_J_mc(problem, cp, grid, 2, seed=99)
     assert report.j_estimate == single.j_estimate

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,9 +14,9 @@ from voctrl import (
     NumericRangeError,
     PolynomialKernel,
     SimulationError,
-    TabulatedKernel,
     TimeGrid,
     deterministic_mean,
+    evaluate_J_deterministic,
     evaluate_J_mc,
     gaussian_increments,
     lq_oracle,
@@ -28,7 +28,6 @@ from voctrl.simulate import (
     _kernel_table,
     _resolvent,
     _terminal_states,
-    _trapezoid_resolvent,
 )
 
 from .conftest import CountingControl, CountingKernel, make_problem, trapezoid_operator
@@ -599,43 +598,6 @@ def test_kernel_table_is_one_array_call():
     assert np.array_equal(ktab, [FractionalKernel(T=2.0, exponent=0.3)(j * grid.dt) for j in range(2001)])
 
 
-def test_kept_solve_serves_the_same_kernel_beta_and_grid(resolvent_calls):
-    # x0 and sigma do not enter (ktab, rho): a problem differing in them shares the solve
-    kernel = CountingKernel(T=2.0, exponent=0.3)
-    problem = make_problem(kernel)
-    ktab, rho = _trapezoid_resolvent(problem, TimeGrid(T=2.0, dt=0.01))
-    again = _trapezoid_resolvent(replace(problem, x0=0.5, sigma=0.0), TimeGrid(T=2.0, dt=0.01))
-    assert again[0] is ktab and again[1] is rho
-    assert resolvent_calls == [201] and kernel.shapes == [(201,)]
-
-
-@pytest.mark.parametrize("change", ["beta", "sign of beta", "grid", "equal kernel"])
-def test_kept_solve_is_recomputed_on_any_other_key(change, resolvent_calls):
-    # on K = -0.0, rho[1] is -0.0 at beta = 0.0 and +0.0 at beta = -0.0
-    kernel = (TabulatedKernel(T=2.0, times=(0.0, 2.0), values=(-0.0, -0.0), holder_h=1.0, holder_H=1.0)
-              if change == "sign of beta" else FractionalKernel(T=2.0, exponent=0.3))
-    problem, grid = make_problem(kernel, beta=0.0), TimeGrid(T=2.0, dt=0.5)
-    other, other_grid = {
-        "beta": (replace(problem, beta=0.5), grid),
-        "sign of beta": (replace(problem, beta=-0.0), grid),
-        "grid": (problem, TimeGrid(T=2.0, dt=0.25)),
-        "equal kernel": (replace(problem, kernel=replace(kernel)), grid),
-    }[change]
-    assert other.kernel == kernel  # equal values are not enough: the key is the object
-    _trapezoid_resolvent(problem, grid)
-    ktab, rho = _trapezoid_resolvent(other, other_grid)
-    assert len(resolvent_calls) == 2
-    voctrl.simulate._last_solve = None
-    cold = _trapezoid_resolvent(other, other_grid)
-    assert ktab.tobytes() == cold[0].tobytes() and rho.tobytes() == cold[1].tobytes()
-
-
-def test_kept_solve_is_read_only(fractional_kernel):
-    for arr in _trapezoid_resolvent(make_problem(fractional_kernel), TimeGrid(T=2.0, dt=0.1)):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
-
-
 @dataclass(frozen=True, kw_only=True)
 class NanKernel(Kernel):
     def _value(self, t):
@@ -651,8 +613,23 @@ def test_non_finite_kernel_table_raises_every_time_and_is_not_kept(resolvent_cal
     good = make_problem(FractionalKernel(T=2.0, exponent=0.3))
     m = deterministic_mean(good, one, grid)
     assert resolvent_calls == [21]
-    voctrl.simulate._last_solve = None
     assert np.array_equal(m, deterministic_mean(good, one, grid))
+
+
+def test_scheme_core_keeps_no_state(fractional_kernel):
+    # no call binds or rebinds a name in the simulator's namespace, so its
+    # results cannot depend on the calls before it
+    problem, grid = make_problem(fractional_kernel, x0=0.2), TimeGrid(T=2.0, dt=0.05)
+    control = optimal_control_poly(problem, 10, 30)
+    before = dict(vars(voctrl.simulate))
+    simulate_paths(problem, control, grid, 70, seed=3)
+    deterministic_mean(problem, control, grid)
+    evaluate_J_mc(problem, control, grid, 70, seed=3)
+    lq_oracle(problem, grid)
+    evaluate_J_deterministic(problem, control, grid)
+    after = vars(voctrl.simulate)
+    assert after.keys() == before.keys()
+    assert all(after[name] is obj for name, obj in before.items())
 
 
 def test_control_values_is_one_array_call(fractional_kernel):
@@ -664,11 +641,19 @@ def test_control_values_is_one_array_call(fractional_kernel):
     assert np.array_equal(vals, cp(nodes))
 
 
+def test_constant_control_is_one_call():
+    # a scalar for the node array is the constant on every node
+    control = CountingControl(lambda t: 0.25)
+    vals = _control_values(control, TimeGrid(T=2.0, dt=0.001).nodes)
+    assert control.shapes == [(2001,)]
+    assert np.array_equal(vals, np.full(2001, 0.25))
+
+
 @pytest.mark.parametrize("control", [
-    lambda t: 0.0,  # returns a scalar for an array
     lambda t: 1.0 if t < 1.0 else 0.0,  # raises ValueError on an array
     lambda t: math.cos(t),  # raises TypeError on an array
-], ids=["constant", "step", "cos"])
+    lambda t: np.array([t, t]) if np.ndim(t) else t,  # does not broadcast to the nodes
+], ids=["step", "cos", "unbroadcastable"])
 def test_scalar_only_control_falls_back_per_node(control):
     nodes = TimeGrid(T=2.0, dt=0.001).nodes
     vals = _control_values(control, nodes)
