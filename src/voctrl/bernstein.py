@@ -57,14 +57,11 @@ class BernsteinKernel(PolynomialKernel):
     ----------
     n : int
         Approximation degree.
-    source : Kernel
-        The approximated kernel (carries horizon and Holder metadata).
     node_values : numpy.ndarray
         K(T k / max(n, 1)) for k = 0..n; basis-form evaluation runs on these.
     """
 
     n: int
-    source: Kernel
     node_values: np.ndarray
 
     # the class's own attribute, so perfbench's tracer times K_n apart from other kernels
@@ -133,7 +130,7 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
         raise NumericRangeError(f"Bernstein coefficients of degree {n} out of range: {exc}") from None
     if not np.all(np.isfinite(kappa)):
         raise NumericRangeError("non-finite Bernstein coefficients")
-    return BernsteinKernel(T=T, coeffs=kappa, n=n, source=source, node_values=vals)
+    return BernsteinKernel(T=T, coeffs=kappa, n=n, node_values=vals)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Batch command-line front end.
+"""Batch command-line front end, on the standard library's argparse.
 
 Commands read one INI config (see voctrl.config), apply flag overrides, and
-write CSV/JSON artifacts into the output directory; ``--m`` is read by the
-config's own ``[lift] M`` entry.  Every command builds all of its artifacts
+write CSV/JSON artifacts into the output directory.  A flag that sets a
+``RunConfig`` field is read as text by the config's own entry for its INI
+key (``_SETTING_FLAGS``), so ``--m auto`` means what ``M = auto`` means and
+an error names the flag.  Every command builds all of its artifacts
 first and ends in one ``_write_artifacts`` call, which serializes each JSON
 document before it creates the directory: a command that fails writes
 nothing, no file and no directory.  Runs are deterministic given the config,
@@ -12,20 +14,20 @@ CPUs) without changing any output.  ``_control`` poses the problem on each
 degree's K_n once, through ``control.on_kn``, for both the choice of M and the
 control; simulation and the objective stay on the original kernel.
 
-Exit codes: 0 success, 2 config error, 3 numeric-range error (an allocation
-that fails counts as one), 4 simulation error.
+Exit codes: 0 success (``--help`` included), 2 config or usage error, 3
+numeric-range error (an allocation that fails counts as one), 4 simulation
+error.  ``main`` returns the code for every argv and never exits.
 """
 
-import dataclasses
+import argparse
 import json
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from .bernstein import uniform_error_report
-from .config import RunConfig, load_config, parse_setting, split_list, with_overrides
+from .config import RunConfig, load_config, parse_setting, split_list
 from .control import (
     choose_M,
     lift_for_problem,
@@ -204,95 +206,99 @@ def cmd_oracle(cfg: RunConfig) -> list[Path]:
     ])
 
 
-@click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="INI config file; flags override its keys.")
-@click.option("--output-dir", type=click.Path(), default=None, help="Artifact directory.")
-@click.option("--seed", type=int, default=None, help="Simulation seed override.")
-@click.pass_context
-def cli(ctx, config_path, output_dir, seed):
-    """Near-optimal advertising controls for goodwill dynamics with memory."""
-    cfg = load_config(config_path)
-    cfg = with_overrides(cfg, output_dir=output_dir, seed=seed)
-    ctx.obj = cfg
+# every flag that sets a RunConfig field -> the INI key whose entry parses
+# its text, as it parses the file's
+_SETTING_FLAGS = {
+    "--output-dir": ("output", "dir"), "--seed": ("mc", "seed"), "--n-paths": ("mc", "n_paths"),
+    "--n": ("lift", "n"), "--m": ("lift", "M"), "--tol": ("lift", "tol"), "--dt": ("grid", "dt"),
+}
 
 
-@cli.command("kernel-approx")
-@click.option("--n", type=int, default=None, help="Approximation degree override.")
-@click.option("--grid-points", type=int, default=400, show_default=True)
-@click.pass_obj
-def kernel_approx_command(cfg, n, grid_points):
-    """Tabulate the kernel against its polynomial approximation."""
-    for path in cmd_kernel_approx(with_overrides(cfg, n=n), grid_points):
-        click.echo(str(path))
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="voctrl", allow_abbrev=False,
+        description="Near-optimal advertising controls for goodwill dynamics with memory.")
+    parser.add_argument("--config", help="INI config file; flags override its keys.")
+    parser.add_argument("--output-dir", help="Artifact directory.")
+    parser.add_argument("--seed", help="Simulation seed override.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, about):
+        return commands.add_parser(name, help=about, description=about, allow_abbrev=False)
+
+    sub = command("kernel-approx", "Tabulate the kernel against its polynomial approximation.")
+    sub.add_argument("--n", help="Approximation degree override.")
+    sub.add_argument("--grid-points", type=int, default=400, help="Table size (default: %(default)s).")
+    sub = command("control", "Compute the near-optimal control polynomial and its predicted objective.")
+    sub.add_argument("--n", dest="n_list", help="Degree or comma-separated degree list override.")
+    sub.add_argument("--m", help='Truncation order override (integer or "auto").')
+    sub.add_argument("--tol", help="Tolerance for M = auto.")
+    sub = command("simulate", "Simulate goodwill paths under the near-optimal and the zero control.")
+    sub.add_argument("--n-paths", help="Path count override.")
+    sub.add_argument("--dt", help="Grid mesh override.")
+    sub = command("convergence", "Objective gap and closed-form distance across approximation degrees.")
+    sub.add_argument("--n-list", required=True, help="Comma-separated degrees.")
+    sub.add_argument("--dt", help="Grid mesh override.")
+    sub = command("oracle", "Cross-validate the control against the discretized brute-force optimizer.")
+    sub.add_argument("--dt", help="Grid mesh override.")
+    return parser
 
 
-@cli.command("control")
-@click.option("--n", "n_text", type=str, default=None,
-              help="Degree or comma-separated degree list override.")
-@click.option("--m", "m_text", type=str, default=None,
-              help='Truncation order override (integer or "auto").')
-@click.option("--tol", type=float, default=None, help="Tolerance for M = auto.")
-@click.pass_obj
-def control_command(cfg, n_text, m_text, tol):
-    """Compute the near-optimal control polynomial and its predicted objective."""
-    cfg = with_overrides(cfg, tol=tol)
-    if m_text is not None:  # not through with_overrides: None means auto here
-        cfg = dataclasses.replace(cfg, M=parse_setting("lift", "M", m_text, "--m")[1])
-    for path in cmd_control(cfg, _parse_n_list(n_text) if n_text else [cfg.n]):
-        click.echo(str(path))
+_PARSER = _parser()
 
 
-@cli.command("simulate")
-@click.option("--n-paths", type=int, default=None, help="Path count override.")
-@click.option("--dt", type=float, default=None, help="Grid mesh override.")
-@click.pass_obj
-def simulate_command(cfg, n_paths, dt):
-    """Simulate goodwill paths under the near-optimal and the zero control."""
-    for path in cmd_simulate(with_overrides(cfg, n_paths=n_paths, dt=dt)):
-        click.echo(str(path))
-
-
-@cli.command("convergence")
-@click.option("--n-list", type=str, required=True, help="Comma-separated degrees.")
-@click.option("--dt", type=float, default=None, help="Grid mesh override.")
-@click.pass_obj
-def convergence_command(cfg, n_list, dt):
-    """Objective gap and closed-form distance across approximation degrees."""
-    for path in cmd_convergence(with_overrides(cfg, dt=dt), _parse_n_list(n_list)):
-        click.echo(str(path))
-
-
-@cli.command("oracle")
-@click.option("--dt", type=float, default=None, help="Grid mesh override.")
-@click.pass_obj
-def oracle_command(cfg, dt):
-    """Cross-validate the control against the discretized brute-force optimizer."""
-    for path in cmd_oracle(with_overrides(cfg, dt=dt)):
-        click.echo(str(path))
+def _join_values(argv: list[str]) -> list[str]:
+    """``--flag -1e-3`` as ``--flag=-1e-3``: every flag but ``--help`` takes
+    one value, and argparse reads a dash-led value such as -1e-3 or -inf as
+    a flag of its own."""
+    words = []
+    for word in argv:
+        flag = words[-1] if words else ""
+        if word.startswith("-") and flag.startswith("--") and "=" not in flag and flag != "--help":
+            words[-1] = f"{flag}={word}"
+        else:
+            words.append(word)
+    return words
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """The documented exit code for ``argv``, ``--help`` and usage errors included."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = _PARSER.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:
+        return exc.code
+    try:
+        cfg = load_config(args.config)
+        for flag, (section, key) in _SETTING_FLAGS.items():
+            text = getattr(args, flag[2:].replace("-", "_"), None)
+            if text is not None:
+                field, value = parse_setting(section, key, text, flag)
+                setattr(cfg, field, value)
+        # cmd_* are looked up when they run, so a replaced one (a tracer's) is called
+        if args.command == "kernel-approx":
+            paths = cmd_kernel_approx(cfg, args.grid_points)
+        elif args.command == "control":
+            paths = cmd_control(cfg, _parse_n_list(args.n_list) if args.n_list else [cfg.n])
+        elif args.command == "simulate":
+            paths = cmd_simulate(cfg)
+        elif args.command == "convergence":
+            paths = cmd_convergence(cfg, _parse_n_list(args.n_list))
+        else:
+            paths = cmd_oracle(cfg)
+        for path in paths:
+            print(path)
         return 0
-    except click.exceptions.Exit as exc:  # --help and friends
-        return int(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 2
     except (ConfigError, MetadataError) as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericRangeError, DomainError) as exc:
-        click.echo(f"numeric-range error: {exc}", err=True)
+        print(f"numeric-range error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # a grid or path count too large to allocate
-        click.echo(f"numeric-range error: out of memory: {exc}", err=True)
+        print(f"numeric-range error: out of memory: {exc}", file=sys.stderr)
         return 3
     except SimulationError as exc:
-        click.echo(f"simulation error: {exc}", err=True)
+        print(f"simulation error: {exc}", file=sys.stderr)
         return 4
 
 

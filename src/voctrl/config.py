@@ -1,10 +1,10 @@
 """Run configuration: a flat INI file mirrored into a dataclass.
 
 One table, ``_KEYS``, maps each section and key to its ``RunConfig`` field
-and value parser; ``--m`` goes through the same entry.  An unknown section
-or key, or a value that does not parse, is a ``ConfigError`` naming the
-file, the section and the key; a key left out keeps its ``RunConfig``
-default.  CLI flags override any of these.
+and value parser; a CLI flag that sets a field goes through the same entry.
+An unknown section or key, or a value that does not parse, is a
+``ConfigError`` naming the file (or the flag), the section and the key; a
+key left out keeps its ``RunConfig`` default.
 
 ``params`` is a whitespace- or comma-separated number list whose meaning
 depends on the family: monomial takes the degree, fractional the exponent,
@@ -14,7 +14,7 @@ kernels use the ``times``/``values`` keys instead.  ``[lift] M`` may be
 """
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .control import ControlProblem
@@ -170,9 +170,3 @@ def build_kernel(cfg: RunConfig) -> Kernel:
         f"unknown kernel family {fam!r}; expected monomial, fractional, gamma, "
         "polynomial or tabulated"
     )
-
-
-def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
-    """Apply non-None CLI overrides onto a parsed config."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(cfg, **updates)

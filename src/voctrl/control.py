@@ -144,8 +144,6 @@ def _over_factorial(x: float, k: int) -> float:
 
 def optimal_control_poly(problem: ControlProblem, n: int, M: int) -> ControlPolynomial:
     """Assemble the truncated near-optimal control for lift degree n, order M."""
-    if M < 0:
-        raise NumericRangeError(f"truncation order must be nonnegative, got {M}")
     lk = lift_for_problem(problem, n)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
         a = np.convolve(lk.g, gamma_table(lk, M))[: M + 1]

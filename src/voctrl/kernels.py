@@ -128,8 +128,6 @@ class MonomialKernel(Kernel):
             raise DomainError(f"degree must be a nonnegative integer, got {self.degree}")
 
     def _value(self, t):
-        if self.degree == 0:
-            return np.ones_like(t)
         return t**self.degree
 
     def default_holder_metadata(self):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import voctrl
+import voctrl.cli
 from voctrl.cli import main
+from voctrl.config import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -162,6 +164,73 @@ def test_control_m_that_does_not_parse_is_config_error(tmp_path, capsys):
     assert main(["--config", str(cfg), "control", "--m", "abc"]) == 2
     err = capsys.readouterr().err
     assert "'abc'" in err and "--m" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--n-paths", "abc"], "--n-paths: [mc] n_paths = 'abc' does not parse"),
+    (["oracle", "--dt", "abc"], "--dt: [grid] dt = 'abc' does not parse"),
+], ids=["n-paths", "dt"])
+def test_setting_flag_that_does_not_parse_names_the_flag(tmp_path, capsys, argv, named):
+    cfg, out = write_config(tmp_path)
+    assert main(["--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}")
+    assert not out.exists()
+
+
+def test_negative_truncation_order_is_numeric_range_error(tmp_path, capsys):
+    cfg, out = write_config(tmp_path)
+    assert main(["--config", str(cfg), "control", "--m", "-1"]) == 3
+    assert "truncation order must be nonnegative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    (["--output-dir", "elsewhere", "oracle"], "output_dir", "elsewhere"),
+    (["--seed", "7", "simulate"], "seed", 7),
+    (["kernel-approx", "--n", "7"], "n", 7),
+    (["control", "--m", "7"], "M", 7),
+    (["control", "--m", "auto"], "M", None),
+    (["control", "--tol", "0.5"], "tol", 0.5),
+    (["simulate", "--n-paths", "7"], "n_paths", 7),
+    (["simulate", "--dt", "0.25"], "dt", 0.25),
+    (["convergence", "--n-list", "1", "--dt", "0.25"], "dt", 0.25),
+    (["oracle", "--dt", "0.25"], "dt", 0.25),
+    (["oracle", "--dt", "-1e-3"], "dt", -1e-3),  # a dash-led value is still a value
+], ids=["output-dir", "seed", "kernel-approx-n", "m", "m-auto", "tol", "n-paths", "simulate-dt",
+        "convergence-dt", "oracle-dt", "dash-led-dt"])
+def test_setting_flag_reaches_the_run_config(monkeypatch, argv, field, value):
+    # the command is looked up when it runs, so a replaced cmd_* is the one called
+    seen = []
+    for name in ("cmd_kernel_approx", "cmd_control", "cmd_simulate", "cmd_convergence",
+                 "cmd_oracle"):
+        monkeypatch.setattr(voctrl.cli, name, lambda cfg, *rest: seen.append(cfg) or [])
+    assert main(["--config", str(CONFIGS / "fractional.ini"), *argv]) == 0
+    expected = load_config(CONFIGS / "fractional.ini")
+    setattr(expected, field, value)
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["kernel-approx", "--help"]], ids=["top", "command"])
+def test_help_returns_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: voctrl")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit"],
+    ["--bogus", "control"],
+    ["simulate", "--n-p", "5"],
+    ["convergence"],
+    ["kernel-approx", "--grid-points", "abc"],
+    [],
+], ids=["unknown-command", "unknown-flag", "flag-prefix", "no-n-list", "grid-points-abc",
+        "no-command"])
+def test_usage_error_returns_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "fractional.ini"), "--output-dir", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: voctrl") and "error:" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -545,8 +614,10 @@ def test_module_entry_point_bad_config_exits_2(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # scipy costs every process a quarter second and 25 MiB at import
-    code = "import sys, voctrl, voctrl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # scipy costs every process a quarter second and 25 MiB at import; the
+    # command line needs nothing outside the standard library and numpy
+    code = ("import sys, voctrl, voctrl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click')))")
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -69,6 +69,12 @@ def test_truncation_order_zero_constant_kernel():
         assert cp(t) == pytest.approx(0.5 * 0.9, rel=1e-15)
 
 
+def test_negative_truncation_order_raises(fractional_kernel):
+    # gamma_table holds the one check
+    with pytest.raises(NumericRangeError, match="truncation order must be nonnegative, got -1"):
+        optimal_control_poly(make_problem(fractional_kernel), 5, -1)
+
+
 def test_coefficients_past_factorial_overflow_match_mpmath(fractional_kernel):
     # k! overflows a double from k = 171 on; c_k must not be flushed to zero.
     # Reference: the same recurrence on the same double g, in 50 digits.
