@@ -149,15 +149,17 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     problem = cfg.problem()
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
     cp = _control(cfg, problem, cfg.n)
-    header = ["t"] + [f"path_{p + 1}" for p in range(cfg.n_paths)]
-    files, stats = [], []
+    batches, stats = [], []
     for label, control in (("controlled", cp), ("uncontrolled", lambda t: 0.0)):
         paths = simulate_paths(problem, control, grid, cfg.n_paths, cfg.seed).paths
-        files.append((f"paths_{label}.csv", (header, (grid.nodes, paths.T))))
+        batches.append((f"paths_{label}.csv", paths))
         xT = paths[:, -1]
         # an overflowing statistic is named by the strict JSON, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             stats.append({"mean_XT": float(xT.mean()), "var_XT": float(xT.var(ddof=1))})
+    # made after both batches: a path count too large to allocate fails first
+    header = ["t"] + [f"path_{p + 1}" for p in range(cfg.n_paths)]
+    files = [(name, (header, (grid.nodes, paths.T))) for name, paths in batches]
     summary = {"n_paths": cfg.n_paths, "seed": cfg.seed, **stats[0], "zero_control": stats[1]}
     return _write_artifacts(cfg, [*files, ("simulate_summary.json", summary)])
 
@@ -226,9 +228,14 @@ def _parser() -> argparse.ArgumentParser:
     def command(name, about):
         return commands.add_parser(name, help=about, description=about, allow_abbrev=False)
 
+    def grid_points(text):  # argparse names it: "invalid grid_points value"
+        if int(text) < 2:
+            raise argparse.ArgumentTypeError(f"must be >= 2, got {text}")
+        return int(text)
+
     sub = command("kernel-approx", "Tabulate the kernel against its polynomial approximation.")
     sub.add_argument("--n", help="Approximation degree override.")
-    sub.add_argument("--grid-points", type=int, default=400, help="Table size (default: %(default)s).")
+    sub.add_argument("--grid-points", type=grid_points, default=400, help="Table size (default: %(default)s).")
     sub = command("control", "Compute the near-optimal control polynomial and its predicted objective.")
     sub.add_argument("--n", dest="n_list", help="Degree or comma-separated degree list override.")
     sub.add_argument("--m", help='Truncation order override (integer or "auto").')

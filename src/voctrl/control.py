@@ -8,12 +8,11 @@ and truncating the operator exponential at order M turns it into an explicit
 polynomial in (T - t):
 
     u_{n,M}(t) = scale * sum_{k<=M} c_k (T-t)**k,
-    c_k = sum_{i <= min(n,k)} g[i] * gamma(0, k - i) / k!,
 
-so k! c_k are the coefficients of the power-series quotient
-G(z) / (1 + beta z G(z)), G(z) = sum_i g[i] z**i.  Untruncated, the control
-is the resolvent of K_n read backwards from T: R(s) = u(T - s) / scale
-solves R = K_n - beta * (K_n conv R).
+where k! c_k = sum_i g[i] gamma(0, k - i), the coefficients of G(z) / (1 +
+beta z G(z)), is r[k + 1] of the lift's quotient r = z G / (1 + beta z G).
+Untruncated, the control is the resolvent of K_n read backwards from T:
+R(s) = u(T - s) / scale solves R = K_n - beta * (K_n conv R).
 
 The dynamic-programming equation behind this is never discretized; its
 solution is affine in the state, v(t, z) = <w(t), z> + c(t), and only the
@@ -35,7 +34,7 @@ import numpy as np
 from .bernstein import bernstein_kernel
 from .errors import DomainError, NumericRangeError
 from .kernels import Kernel, MonomialKernel, PolynomialKernel, _check_time, _horner
-from .lift import LiftedKernel, gamma_table, lift_from_coefficients, operator_norm_bound
+from .lift import LiftedKernel, _lift_resolvent, lift_from_coefficients, operator_norm_bound
 from .mittag_leffler import mittag_leffler
 
 #: hard cap for automatic truncation-order selection.
@@ -145,10 +144,7 @@ def _over_factorial(x: float, k: int) -> float:
 def optimal_control_poly(problem: ControlProblem, n: int, M: int) -> ControlPolynomial:
     """Assemble the truncated near-optimal control for lift degree n, order M."""
     lk = lift_for_problem(problem, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
-        a = np.convolve(lk.g, gamma_table(lk, M))[: M + 1]
-    if not np.all(np.isfinite(a)):
-        raise NumericRangeError("control coefficients overflow; reduce M or n")
+    a = _lift_resolvent(lk, M)[1:]  # a[k] = k! c_k
     coeffs = np.array([_over_factorial(a_k, k) for k, a_k in enumerate(a)])
     T = problem.T
     valid = M >= T * operator_norm_bound(lk)

@@ -15,9 +15,9 @@ generator is the shift plus a rank-one feedback,
 Each application of Abar shifts every coordinate up one index and refills
 index 0, so the coordinates of Abar^k nu are gamma(i, k) = gamma(0, k - i)
 and the one sequence gamma(0, 0..M) holds them all.  With G(z) = sum_i
-g[i] z**i, its generating function is the power-series quotient
-1 / (1 + beta z G(z)), which a recurrence delivers in O(M n) work; the
-control downstream is read off it.
+g[i] z**i, its generating function is 1 - beta r, r = z G / (1 + beta z G),
+and the control downstream is read off r too.  r comes from ``_resolvent``,
+the package's one power-series quotient A / (1 + h A), with A = z G, h = beta.
 """
 
 import math
@@ -56,29 +56,61 @@ def lift_from_coefficients(kappa, beta: float) -> LiftedKernel:
     return LiftedKernel(g=g, beta=float(beta))
 
 
-def gamma_table(lk: LiftedKernel, M: int) -> np.ndarray:
-    """gamma(0, k) for k = 0..M, the index-0 coordinate of Abar^k nu.
+def _resolvent(a: np.ndarray, beta_dt: float) -> np.ndarray:
+    """r[m] (1 + beta dt a[0]) = a[m] - beta dt sum_{l=1}^{m} a[l] r[m-l].
 
-    The shift moves every coordinate up one index per power, so the rest of
-    the triangle is gamma(i, k) = gamma(0, k - i); the feedback refills
-    index 0 with
-
-        gamma(0, k) = -beta * sum_{i <= min(n, k-1)} g[i] * gamma(0, k-1-i),
-
-    starting from gamma(0, 0) = 1.  O(M * n) work and O(M) memory.
+    As power series R = A / (1 + beta dt A).  For the first column ``a`` of
+    a quadrature's lower-triangular Toeplitz matrix T, r is the first column
+    of (I + beta dt T)^{-1} T, the discrete resolvent.  Block forward
+    substitution in blocks of w = 64 entries: r[:w] by the scalar recursion
+    above; since 1 / (1 + beta dt A) = 1 - beta dt R, q = e_0 - beta dt r[:w]
+    is the first column of (I + beta dt T_w)^{-1}, so each later block [k0,
+    k1) is q * (a[k0:k1] - sum_{j<k0} (beta dt a)[m-j] r[j]), two
+    convolutions.  With beta dt folded into the column first, r is a bit for
+    bit at beta == 0, even where a * r overflows.  The blocks sit at fixed
+    offsets, so r of a prefix of a is the prefix of r, bit for bit, and a
+    column of at most w entries gives the scalar recursion's bits.  Cost:
+    N**2 / 2 multiply-adds in C.
     """
+    pivot = 1.0 + beta_dt * a[0]
+    if pivot == 0.0:
+        raise NumericRangeError("singular step in the Volterra recursion")
+    n = len(a)
+    w = min(64, n)  # block width: narrower pays Python per block, wider a longer scalar loop
+    r = np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects non-finite states
+        ha = beta_dt * a
+        ba = ha[w - 1 :: -1].copy()  # ba[w - 1 - l] = beta dt a[l]: one forward dot per step
+        r[0] = a[0] / pivot
+        for m in range(1, w):
+            r[m] = (a[m] - np.dot(r[:m], ba[w - 1 - m : w - 1])) / pivot
+        q = -beta_dt * r[:w]
+        q[0] += 1.0
+        for k0 in range(w, n, w):
+            k1 = min(k0 + w, n)
+            rhs = a[k0:k1] - np.convolve(ha[1:k1], r[:k0], "valid")
+            r[k0:k1] = np.convolve(q[: k1 - k0], rhs)[: k1 - k0]
+    return r
+
+
+def _lift_resolvent(lk: LiftedKernel, M: int) -> np.ndarray:
+    """r[0..M+1] of r = z G / (1 + beta z G): ``_resolvent`` of the column
+    (0, g[0], .., g[n], 0, ..) with h = beta.  A non-finite r raises."""
     if M < 0:
         raise NumericRangeError(f"truncation order must be nonnegative, got {M}")
-    n = lk.n
-    row = np.zeros(M + 1)
-    row[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
-        for k in range(1, M + 1):
-            m = min(n, k - 1)
-            row[k] = -lk.beta * float(np.dot(lk.g[: m + 1], row[k - 1 - m : k][::-1]))
-            if not math.isfinite(row[k]):
-                raise NumericRangeError("gamma overflow; reduce M or n")
-    return row
+    a = np.zeros(M + 2)
+    a[1 : lk.n + 2] = lk.g[: M + 1]
+    r = _resolvent(a, lk.beta)
+    if not np.all(np.isfinite(r)):
+        raise NumericRangeError("lift power series overflows; reduce M or n")
+    return r
+
+
+def gamma_table(lk: LiftedKernel, M: int) -> np.ndarray:
+    """gamma(0, k) for k = 0..M, the index-0 coordinate of Abar^k nu: e_0 -
+    beta r[:M+1] (see the module docstring), with r of ``_lift_resolvent``."""
+    r = _lift_resolvent(lk, M)
+    return np.eye(1, M + 1)[0] - lk.beta * r[: M + 1]
 
 
 def operator_norm_bound(lk: LiftedKernel) -> float:

@@ -22,7 +22,8 @@ trapezoidal column (K_0/2, K_1, .., K_N).  So
 
 with K_left = (0, K_1, .., K_N) and * the convolution cut to N + 1 entries.
 ``_scheme`` gives (m, c) from the one (kernel table, rho) solve of
-``_trapezoid_resolvent``, which the LQ oracle in ``objective`` reads too.
+``_trapezoid_resolvent`` (``lift._resolvent`` of the trapezoidal column,
+afresh on every call), which the LQ oracle in ``objective`` reads too.
 
 Noise comes in fixed chunks of ``_BLOCK_PATHS`` paths, each with its own
 stream: Philox keyed by the seed, with the chunk index in the top word of the
@@ -62,13 +63,6 @@ memory is 512 KiB of draws per thread plus O(N + P), and the work is the draw
 plus N multiply-adds per path instead of the stripes' 0.63 * N**2.  X(T) of path p
 matches ``paths[p, -1]`` to rounding and, like it, depends neither on the
 thread count nor on ``n_paths``.
-
-``_resolvent(a, beta dt)`` is the one discrete Volterra recursion, for the
-first column ``a`` of a quadrature's lower-triangular Toeplitz matrix: block
-forward substitution in 64-entry blocks, N**2 / 2 multiply-adds in C and
-O(n_steps) memory.  The one column solved is the trapezoidal one, afresh on
-every call: nothing here keeps state between calls.  A zero pivot raises
-``NumericRangeError``.
 """
 
 import math
@@ -81,6 +75,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .control import ControlProblem
 from .errors import ConfigError, DomainError, NumericRangeError, SimulationError
+from .lift import _resolvent
 
 #: name of the simulation kernel, reported in benchmark run records.
 DEFAULT_BACKEND = "numpy"
@@ -105,6 +100,8 @@ class TimeGrid:
             raise DomainError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 < self.T < math.inf:
             raise DomainError(f"T must be positive and finite, got {self.T}")
+        if not self.T / self.dt < np.iinfo(np.intp).max:  # n_steps + 1 nodes, indexable
+            raise DomainError(f"dt {self.dt} is too fine: T / dt passes the largest array index")
         # a mesh that divides T in decimals lands within about 2 ulps of T
         # (dt's rounding times n_steps, the product's and T's): allow 4
         if abs(self.n_steps * self.dt - self.T) > 4 * math.ulp(self.T):
@@ -166,6 +163,9 @@ def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float,
     filled in place.  The chunks are drawn on ``VOC_THREADS`` threads, else as
     many as the usable CPUs; the values never depend on the count.
     """
+    for name, value in (("n_paths", n_paths), ("n_steps", n_steps), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
     if out is None:
         out = np.empty((n_steps, n_paths))
     elif out.shape != (n_steps, n_paths) or out.dtype != np.float64:
@@ -219,42 +219,6 @@ def _kernel_table(problem: ControlProblem, grid: TimeGrid) -> np.ndarray:
     if not np.all(np.isfinite(ktab)):
         raise SimulationError("kernel produced non-finite values on the grid")
     return ktab
-
-
-def _resolvent(a: np.ndarray, beta_dt: float) -> np.ndarray:
-    """r[m] (1 + beta dt a[0]) = a[m] - beta dt sum_{l=1}^{m} a[l] r[m-l].
-
-    ``a`` is the first column of a quadrature's lower-triangular Toeplitz
-    matrix T, and r the first column of (I + beta dt T)^{-1} T, the discrete
-    resolvent.  Block forward substitution in blocks of w = 64 entries: r[:w]
-    by the scalar recursion above; since 1 / (1 + beta dt A) = 1 - beta dt R
-    as power series, q = e_0 - beta dt r[:w] is the first column of (I + beta
-    dt T_w)^{-1}, so each later block [k0, k1) is q * (a[k0:k1] - sum_{j<k0}
-    (beta dt a)[m-j] r[j]), two convolutions.  With beta dt folded into the
-    column first, r is a bit for bit at beta == 0, even where a * r
-    overflows.  The blocks sit at fixed offsets, so r of a prefix of a is the
-    prefix of r, bit for bit, and a column of at most w entries gives the
-    scalar recursion's bits.  Cost: N**2 / 2 multiply-adds in C.
-    """
-    pivot = 1.0 + beta_dt * a[0]
-    if pivot == 0.0:
-        raise NumericRangeError("singular step in the Volterra recursion")
-    n = len(a)
-    w = min(64, n)  # block width: narrower pays Python per block, wider a longer scalar loop
-    r = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects non-finite states
-        ha = beta_dt * a
-        ba = ha[w - 1 :: -1].copy()  # ba[w - 1 - l] = beta dt a[l]: one forward dot per step
-        r[0] = a[0] / pivot
-        for m in range(1, w):
-            r[m] = (a[m] - np.dot(r[:m], ba[w - 1 - m : w - 1])) / pivot
-        q = -beta_dt * r[:w]
-        q[0] += 1.0
-        for k0 in range(w, n, w):
-            k1 = min(k0 + w, n)
-            rhs = a[k0:k1] - np.convolve(ha[1:k1], r[:k0], "valid")
-            r[k0:k1] = np.convolve(q[: k1 - k0], rhs)[: k1 - k0]
-    return r
 
 
 def _toeplitz(rr: np.ndarray, lag: int, rows: int, cols: int) -> np.ndarray:

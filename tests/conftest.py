@@ -88,7 +88,9 @@ class CountingControl:
 
 @pytest.fixture
 def resolvent_calls(monkeypatch):
-    """The column length of every ``_resolvent`` solve."""
+    """The column length of every ``_resolvent`` solve of the scheme: the
+    patch is on ``voctrl.simulate``'s name, so the lift's solves in
+    ``voctrl.lift`` (the control's coefficients) are not counted."""
     resolvent = voctrl.simulate._resolvent
     calls = []
 

@@ -223,9 +223,11 @@ def test_help_returns_0(capsys, argv):
     ["simulate", "--n-p", "5"],
     ["convergence"],
     ["kernel-approx", "--grid-points", "abc"],
+    ["kernel-approx", "--grid-points", "1"],
+    ["kernel-approx", "--grid-points", "-5"],
     [],
 ], ids=["unknown-command", "unknown-flag", "flag-prefix", "no-n-list", "grid-points-abc",
-        "no-command"])
+        "grid-points-1", "grid-points-negative", "no-command"])
 def test_usage_error_returns_2(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(["--config", str(CONFIGS / "fractional.ini"), "--output-dir", str(out), *argv]) == 2
@@ -527,6 +529,28 @@ def test_allocation_failure_is_numeric_range_error(tmp_path, capsys):
     assert err.startswith("numeric-range error:") and "allocate" in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_grid_too_fine_to_index_is_numeric_range_error(tmp_path, capsys):
+    # 2e300 steps: more grid nodes than an array index reaches
+    out = tmp_path / "out"
+    argv = ["--config", str(CONFIGS / "fractional.ini"), "--output-dir", str(out),
+            "oracle", "--dt=1e-300"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric-range error:") and "dt 1e-300" in err
+    assert not out.exists()
+
+
+def test_path_count_too_large_to_allocate_writes_nothing(tmp_path, capsys):
+    # 1e12 paths fail in numpy's allocation of the path array, before any
+    # per-path header name is made
+    out = tmp_path / "out"
+    argv = ["--config", str(CONFIGS / "fractional.ini"), "--output-dir", str(out),
+            "simulate", "--n-paths", "1000000000000"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numeric-range error:")
+    assert not out.exists()
 
 
 def test_oracle_overflow_writes_no_artifact(tmp_path, capsys):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import voctrl.control
+import voctrl.lift
 from voctrl import (
     DomainError,
     FractionalKernel,
@@ -17,6 +19,7 @@ from voctrl import (
     TimeGrid,
     bernstein_kernel,
     choose_M,
+    gamma_table,
     lift_for_problem,
     lift_from_coefficients,
     monomial_closed_form,
@@ -26,6 +29,7 @@ from voctrl import (
     truncation_error_bound,
     value_function,
 )
+from voctrl.control import _over_factorial
 
 from .conftest import make_problem, uniform_grid
 
@@ -70,9 +74,36 @@ def test_truncation_order_zero_constant_kernel():
 
 
 def test_negative_truncation_order_raises(fractional_kernel):
-    # gamma_table holds the one check
+    # the lift's quotient, shared with gamma_table, holds the one check
     with pytest.raises(NumericRangeError, match="truncation order must be nonnegative, got -1"):
         optimal_control_poly(make_problem(fractional_kernel), 5, -1)
+
+
+def test_control_and_gamma_table_read_one_lift_quotient(monkeypatch, fractional_kernel):
+    # one _resolvent solve of length M + 2 gives r = z G / (1 + beta z G):
+    # k! c_k = r[k + 1] and gamma(0, k) = delta_k0 - beta r[k]
+    solves = []
+    resolvent = voctrl.lift._resolvent
+
+    def recording(a, beta_dt):
+        solves.append(resolvent(a, beta_dt))
+        return solves[-1]
+
+    def no_gamma_table(*args):
+        raise AssertionError("the control called gamma_table")
+
+    monkeypatch.setattr(voctrl.lift, "_resolvent", recording)
+    monkeypatch.setattr(voctrl.lift, "gamma_table", no_gamma_table)
+    monkeypatch.setattr(voctrl.control, "gamma_table", no_gamma_table, raising=False)
+    problem, M = make_problem(fractional_kernel), 50
+    cp = optimal_control_poly(problem, 10, M)
+    assert [len(r) for r in solves] == [M + 2]
+    r = solves[0]
+    assert np.array_equal(cp.coeffs, [_over_factorial(a_k, k) for k, a_k in enumerate(r[1:])])
+    lk = lift_for_problem(problem, 10)
+    row = -lk.beta * r[: M + 1]
+    row[0] += 1.0
+    assert np.array_equal(gamma_table(lk, M), row)
 
 
 def test_coefficients_past_factorial_overflow_match_mpmath(fractional_kernel):

@@ -23,12 +23,8 @@ from voctrl import (
     optimal_control_poly,
     simulate_paths,
 )
-from voctrl.simulate import (
-    _control_values,
-    _kernel_table,
-    _resolvent,
-    _terminal_states,
-)
+from voctrl.lift import _resolvent
+from voctrl.simulate import _control_values, _kernel_table, _terminal_states
 
 from .conftest import CountingControl, CountingKernel, make_problem, trapezoid_operator
 
@@ -158,6 +154,17 @@ def test_increment_stream_is_pinned():
         f"gaussian_increments under numpy {np.__version__} differs from the stream "
         f"pinned under numpy 2.4.6: every Monte-Carlo number and simulate CSV moves with it"
     )
+
+
+@pytest.mark.parametrize("n_paths, n_steps, dt, named", [
+    (3, 0, 0.1, "n_steps"),
+    (-1, 5, 0.1, "n_paths"),
+    (3, 5, math.nan, "dt"),
+    (3, 5, -0.1, "dt"),
+], ids=["no-steps", "negative-paths", "nan-dt", "negative-dt"])
+def test_increments_reject_arguments_out_of_domain(n_paths, n_steps, dt, named):
+    with pytest.raises(DomainError, match=f"^{named} must be"):
+        gaussian_increments(1, n_paths, n_steps, dt)
 
 
 def set_threads(monkeypatch, workers):
