@@ -74,7 +74,10 @@ def _write_artifacts(cfg: RunConfig, files) -> list[Path]:
     JSON cannot hold raises with nothing written."""
     out = Path(cfg.output_dir)
     texts = {name: _json_text(out / name, c) for name, c in files if isinstance(c, dict)}
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output directory {out} is a file or lies under one") from None
     for name, content in files:
         if name in texts:
             _write_json(out / name, texts[name])

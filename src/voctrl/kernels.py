@@ -184,10 +184,10 @@ class GammaKernel(Kernel):
         return np.exp(-self.rate * t) * t**self.exponent
 
     def default_holder_metadata(self):
-        # Split K(t)-K(s) into exp(-rate t)(t**h - s**h) + s**h (e^{-rate t}-e^{-rate s});
-        # the first term is |t-s|**h, the second at most rate*T*|t-s| which we absorb
-        # conservatively as rate*T**h*|t-s|**h on [0, T].
-        return self.exponent, 1.0 + self.rate * self.T**self.exponent
+        # For s < t, K(s) - K(t) = e^{-rate t} (s**h - t**h) + s**h (e^{-rate s} -
+        # e^{-rate t}).  The first term is at most |t - s|**h; the second at most
+        # T**h min(1, rate (t - s)) <= (rate T)**h (t - s)**h, as min(1, x) <= x**h.
+        return self.exponent, 1.0 + (self.rate * self.T) ** self.exponent
 
 
 @dataclass(frozen=True, kw_only=True)

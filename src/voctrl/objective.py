@@ -11,10 +11,10 @@ estimates it without bias.
 is affine in the control through the trapezoidal quadrature operator and the
 cost is a positive diagonal quadratic, so the maximizer is the discrete
 beta-resolvent of K read backwards from T.  The oracle reads it, and the
-terminal mean's response to x0, off rho of ``_trapezoid_resolvent``, the one
-solve that the simulator's mean and noise column come from, in O(n_steps)
-memory.  Sharing the scheme is deliberate: comparisons against the lifted
-closed form isolate method error from quadrature error.
+terminal mean's response to x0, off (rho, c) of ``_trapezoid_resolvent``,
+the one solve that the simulator's mean and noise column come from, in
+O(n_steps) memory.  Sharing the scheme is deliberate: comparisons against
+the lifted closed form isolate method error from quadrature error.
 
 ``lq_oracle`` keeps its last answer, for the same problem object (frozen, its
 kernel's arrays read-only) and an equal grid, so ``evaluate_J_deterministic``
@@ -92,13 +92,12 @@ def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
 
         u*_i = alpha a2 b_i / (2 a1 w_i),   b = last row of (I + beta A)^{-1} A,
 
-    and m_N = x0 y_N + alpha b . u* with y = (I + beta A)^{-1} 1.  Both are
-    read off rho of ``_trapezoid_resolvent``: b_j = rho_{N-j} for j >= 1, b_0
-    = dt (K_N - beta sum_j rho_{N-j} K_j) / 2 and y_N = 1 - beta dt K_N / 2 -
-    beta sum_j rho_{N-j} (1 - beta dt K_j / 2), sums over j = 1..N; beta
-    multiplies rho before each dot, so at beta == 0 those terms are exact
-    zeros even where the dot would overflow.  Memory is O(n_steps).  A
-    non-finite u* or optimum raises ``NumericRangeError``.
+    and m_N = x0 y_N + alpha b . u* with y = (I + beta A)^{-1} 1 = 1 - beta
+    (I + beta A)^{-1} A 1, so y_N = 1 - sum_j beta b_j.  Both are read off
+    ``_trapezoid_resolvent``'s (rho, c): b_j = rho_{N-j} for j >= 1 and b_0 =
+    dt c_N / 2.  beta multiplies b before the sum, so at beta == 0, y_N is
+    exactly 1.  Memory is O(n_steps).  A non-finite u* or optimum raises
+    ``NumericRangeError``.
 
     The last solution is served again for the same problem object and an
     equal grid (see the module docstring).
@@ -108,12 +107,10 @@ def lq_oracle(problem: ControlProblem, grid: TimeGrid) -> OracleSolution:
     if last is not None and last[0] is problem and last[1] == grid:
         return last[2]
     n_steps, dt, beta = grid.n_steps, grid.dt, problem.beta
-    ktab, rho = _trapezoid_resolvent(problem, grid)
+    _, rho, c = _trapezoid_resolvent(problem, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite optimum is rejected below
-        back = rho[n_steps - 1 :: -1]  # rho_{N-j}, j = 1..N
-        beta_back = beta * back
-        b = np.concatenate(([0.5 * dt * (ktab[-1] - beta_back @ ktab[1:])], back))
-        y_N = 1.0 - 0.5 * beta * dt * ktab[-1] - beta_back @ (1.0 - 0.5 * beta * dt * ktab[1:])
+        b = np.concatenate(([0.5 * dt * c[-1]], rho[-2::-1]))
+        y_N = 1.0 - np.sum(beta * b)
         w = _trapezoid_weights(n_steps, dt)
         u_star = problem.alpha * problem.a2 * b / (2.0 * problem.a1 * w)
         m_T = problem.x0 * y_N + problem.alpha * float(np.dot(b, u_star))

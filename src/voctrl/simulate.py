@@ -16,14 +16,14 @@ The scheme is linear in X, so X = m + Y with m its mean and (I + beta A) Y
 = sigma L dW, A the trapezoidal operator and L the left-endpoint one.  Y_0 =
 0, so A's half weight at t_0 never acts on Y, and (I + beta A)^{-1} = I -
 beta P with P the Toeplitz matrix of rho = dt r, r the resolvent of the
-trapezoidal column (K_0/2, K_1, .., K_N).  So
+trapezoidal column a = (K_0/2, K_1, .., K_N).  So
 
     X_i = m_i + sigma sum_{j<i} c[i-j] dW_j,   c = K_left - beta rho * K_left,
 
-with K_left = (0, K_1, .., K_N) and * the convolution cut to N + 1 entries.
-``_scheme`` gives (m, c) from the one (kernel table, rho) solve of
-``_trapezoid_resolvent`` (``lift._resolvent`` of the trapezoidal column,
-afresh on every call), which the LQ oracle in ``objective`` reads too.
+with K_left = a - a[0] e_0 and * the convolution cut to N + 1 entries.  As
+r + beta dt a * r = a, c = r - a[0] (e_0 - beta rho), which is r where K_0
+is 0.  ``_trapezoid_resolvent`` (``lift._resolvent`` of a, afresh on every
+call) gives (kernel table, rho, c) to the mean, the paths and the oracle.
 
 Noise comes in fixed chunks of ``_BLOCK_PATHS`` paths, each with its own
 stream: Philox keyed by the seed, with the chunk index in the top word of the
@@ -42,12 +42,12 @@ streams across numpy versions, and ``tests/test_simulate.py`` pins a digest.
 State and noise are stored time-major (steps x paths).  ``simulate_paths``
 writes the increments straight into rows 1..N of the path array, then runs
 fixed ``_BLOCK_PATHS`` column blocks in the calling thread, on BLAS threads.
-Each block scales its rows to sigma dW in place and writes the noise
-convolution over them bottom-up, in row stripes that double in height up to
-``_STRIPE`` rows: a stripe is one GEMM of a Toeplitz block of c against the
-rows above it, which no stripe run so far has overwritten, into one reused
-``_STRIPE`` x ``_BLOCK_PATHS`` buffer, where m is added and finiteness
-checked before the stripe is copied back.  So beside the paths there is one
+Each block writes the noise convolution over its rows of dW bottom-up, in
+row stripes that double in height up to ``_STRIPE`` rows: a stripe is one
+GEMM of a Toeplitz block of sigma c against the rows above it, which no
+stripe run so far has overwritten, into one reused ``_STRIPE`` x
+``_BLOCK_PATHS`` buffer, where m is added and finiteness checked before the
+stripe is copied back.  So beside the paths there is one
 stripe buffer and one Toeplitz block, whatever the step count, and the
 stripes are small enough at CLI sizes to stay on one BLAS thread.
 The path count is padded to a multiple of ``_PAD`` with extra paths of the
@@ -66,6 +66,7 @@ thread count nor on ``n_paths``.
 """
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,7 +81,6 @@ from .lift import _resolvent
 #: name of the simulation kernel, reported in benchmark run records.
 DEFAULT_BACKEND = "numpy"
 
-_MASK64 = (1 << 64) - 1
 _PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
 _BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the threads
 _DRAW_FLOATS = 1 << 16  # most normals per draw unless one path needs more: 512 KiB per thread
@@ -131,10 +131,13 @@ def _chunk_draws(seed: int, first_path: int, n_paths: int, n_steps: int):
     path-major into one reused buffer, as many whole paths at a time as fit
     in ``_DRAW_FLOATS`` normals, at least one (splitting a fill does not
     change the stream); each draw is yielded as (offset in the chunk, (k,
-    n_steps) view of the buffer), valid until the next one.
+    n_steps) view of the buffer), valid until the next one.  A seed outside
+    [0, 2**64), which Philox would alias to another, raises ``DomainError``.
     """
+    if not 0 <= operator.index(seed) < 2**64:  # a float seed raises TypeError
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
     chunk = first_path // _BLOCK_PATHS
-    gen = np.random.Generator(np.random.Philox(key=seed & _MASK64, counter=[0, 0, 0, chunk]))
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk]))
     per_draw = max(1, _DRAW_FLOATS // n_steps)
     buf = np.empty((min(per_draw, n_paths), n_steps))
     for a in range(0, n_paths, per_draw):
@@ -233,19 +236,18 @@ def _toeplitz(rr: np.ndarray, lag: int, rows: int, cols: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller rejects non-finite states
-def _simulate_block(X, cc, sigma, m, buf, n_real) -> bool:
+def _simulate_block(X, cc, m, buf, n_real) -> bool:
     """Paths of one (n_steps + 1) x paths block whose rows 1.. hold dW on
     entry; False if a state of its first ``n_real`` columns is not finite.
 
-    Rows 1.. are scaled to sigma dW in place.  Stripe (a, b] has b - a =
-    min(max(a, _LEAF_STEPS), _STRIPE) rows, and the stripes run from the last
-    to the first: each is one GEMM of the Toeplitz block of ``cc`` (c reversed
-    as ``_toeplitz`` reads it) against rows 1..b, none yet overwritten, into
-    ``buf`` (flat, room for the tallest stripe), which adds m's rows and is
-    checked before it is copied into rows a+1..b.
+    Stripe (a, b] has b - a = min(max(a, _LEAF_STEPS), _STRIPE) rows, and the
+    stripes run from the last to the first: each is one GEMM of the Toeplitz
+    block of ``cc`` (sigma c reversed as ``_toeplitz`` reads it) against rows
+    1..b, none yet overwritten, into ``buf`` (flat, room for the tallest
+    stripe), which adds m's rows and is checked before it is copied into rows
+    a+1..b.
     """
     n_steps, width = X.shape[0] - 1, X.shape[1]
-    X[1:] *= sigma
     bounds = [0]
     while bounds[-1] < n_steps:
         a = bounds[-1]
@@ -272,15 +274,17 @@ def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: in
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     n_steps, dt = grid.n_steps, grid.dt
-    m, c = _scheme(problem, _control_values(control, grid.nodes), grid)
-    cc = np.concatenate((c[:0:-1], np.zeros(n_steps)))
+    ktab, rho, c = _trapezoid_resolvent(problem, grid)
+    m = _mean(problem, _control_values(control, grid.nodes), grid, ktab, rho)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is rejected below
+        cc = np.concatenate((problem.sigma * c[:0:-1], np.zeros(n_steps)))
     n_padded = -(-n_paths // _PAD) * _PAD
     X = np.empty((n_steps + 1, n_padded))
     gaussian_increments(seed, n_padded, n_steps, dt, out=X[1:])
     buf = np.empty(min(_STRIPE, n_steps) * min(_BLOCK_PATHS, n_padded))
     for a in range(0, n_padded, _BLOCK_PATHS):
         Xb = X[:, a : a + _BLOCK_PATHS]
-        if not _simulate_block(Xb, cc, problem.sigma, m, buf, n_paths - a):
+        if not _simulate_block(Xb, cc, m, buf, n_paths - a):
             _check_finite(Xb[:, : n_paths - a], a, dt)
     return PathBatch(paths=X[:, :n_paths].T)
 
@@ -305,7 +309,8 @@ def _terminal_states(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, n_p
     nodes: z the path's normals as ``simulate_paths`` draws them and ws =
     sigma sqrt(dt) (c_N, .., c_1) (see the module docstring)."""
     n_steps, dt = grid.n_steps, grid.dt
-    m, c = _scheme(problem, u, grid)
+    ktab, rho, c = _trapezoid_resolvent(problem, grid)
+    m = _mean(problem, u, grid, ktab, rho)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X(T) is rejected below
         ws = c[:0:-1] * (problem.sigma * math.sqrt(dt))
     xT = np.empty(n_paths)
@@ -323,12 +328,17 @@ def _terminal_states(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, n_p
 
 
 def _trapezoid_resolvent(problem: ControlProblem, grid: TimeGrid):
-    """(ktab, rho): the kernel table and dt times the resolvent of the
-    trapezoidal column; the caller rejects non-finite results."""
+    """(ktab, rho, c): the kernel table, rho = dt r with r the resolvent of
+    the trapezoidal column a, and the noise column c = r - a[0] (e_0 - beta
+    rho) (see the module docstring); the caller rejects non-finite results."""
     ktab = _kernel_table(problem, grid)
+    a = np.concatenate(([0.5 * ktab[0]], ktab[1:]))
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = grid.dt * _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), problem.beta * grid.dt)
-    return ktab, rho
+        r = _resolvent(a, problem.beta * grid.dt)
+        rho = grid.dt * r
+        c = r + a[0] * (problem.beta * rho)
+    c[0] = 0.0
+    return ktab, rho, c
 
 
 def _mean(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, ktab: np.ndarray,
@@ -353,20 +363,7 @@ def _mean(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, ktab: np.ndarr
     return m
 
 
-def _scheme(problem: ControlProblem, u: np.ndarray, grid: TimeGrid):
-    """(m, c) of the scheme for the control ``u`` on the nodes: m from
-    ``_mean``, and c = K_left - (beta rho) * K_left, so at beta == 0, c is
-    K_left bit for bit."""
-    ktab, rho = _trapezoid_resolvent(problem, grid)
-    m = _mean(problem, u, grid, ktab, rho)
-    c = np.concatenate(([0.0], ktab[1:]))
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects non-finite states
-        c -= np.convolve(problem.beta * rho, c)[: grid.n_steps + 1]
-    return m, c
-
-
 def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:
-    """Mean goodwill on the grid, the scheme's m (see ``_mean``); no noise
-    column is formed."""
-    u = _control_values(control, grid.nodes)
-    return _mean(problem, u, grid, *_trapezoid_resolvent(problem, grid))
+    """Mean goodwill on the grid, the scheme's m (see ``_mean``)."""
+    ktab, rho, _ = _trapezoid_resolvent(problem, grid)
+    return _mean(problem, _control_values(control, grid.nodes), grid, ktab, rho)

@@ -454,7 +454,7 @@ def test_state_overflow_is_simulation_error(tmp_path, capsys):
 
 
 def test_noise_overflow_is_simulation_error(tmp_path, capsys):
-    # the mean stays finite, the noise convolution c_1 sigma dW_0 does not
+    # the mean stays finite, the noise column's sigma c_1 = 1e400 does not
     cfg, _ = write_config(tmp_path, family="polynomial", params="1e200", n_paths=4, dt=0.1)
     text = cfg.read_text().replace("beta = 1.0", "beta = 0.0").replace("sigma = 1.0", "sigma = 1e200")
     cfg.write_text(text.replace("a1 = 1.0", "a1 = 1e300"))
@@ -505,7 +505,12 @@ def test_csv_text_is_pinned(tmp_path):
     ("control", "x0 = 0.0", "x0 = nan", 2, "x0 must be finite"),
     ("control", "alpha = 1.0", "alpha = inf", 2, "alpha must be positive and finite"),
     ("control", "a1 = 1.0", "a1 = inf", 2, "a1 must be positive and finite"),
-], ids=["T=inf", "T=1e300", "dt=inf", "x0=nan", "alpha=inf", "a1=inf"])
+    ("simulate", "seed = 321", "seed = -1", 3, "seed must be an integer in [0, 2**64), got -1"),
+    # the output directory is the config file itself, or lies under it
+    ("control", "/out\n", "/run.ini\n", 2, "run.ini is a file or lies under one"),
+    ("control", "/out\n", "/run.ini/sub\n", 2, "run.ini/sub is a file or lies under one"),
+], ids=["T=inf", "T=1e300", "dt=inf", "x0=nan", "alpha=inf", "a1=inf", "seed=-1", "dir=file",
+        "dir=under-file"])
 def test_out_of_range_input_fails_cleanly(tmp_path, capsys, command, setting, value, code,
                                           message):
     # rejected before any artifact is written, with an error line, not a traceback
@@ -515,6 +520,7 @@ def test_out_of_range_input_fails_cleanly(tmp_path, capsys, command, setting, va
     cfg.write_text(text.replace(setting, value))
     assert main(["--config", str(cfg), command]) == code
     assert not out.exists() or not any(out.iterdir())
+    assert sorted(tmp_path.iterdir()) == [cfg] and cfg.read_text() == text.replace(setting, value)
     assert message in capsys.readouterr().err
 
 

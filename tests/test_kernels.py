@@ -102,6 +102,8 @@ def test_domain_errors():
     (MonomialKernel(T=2.0, degree=2), (1.0, 4.0)),  # sup of 2t on [0, 2]
     (MonomialKernel(T=2.0, degree=0), (1.0, 1.0)),
     (GammaKernel(T=2.0, rate=1.0, exponent=0.3), (0.3, 1.0 + 2.0**0.3)),
+    (GammaKernel(T=2.0, rate=0.1, exponent=0.3), (0.3, 1.0 + 0.2**0.3)),  # 1 + (rate T)**h
+    (GammaKernel(T=10.0, rate=3.0, exponent=0.3), (0.3, 1.0 + 30.0**0.3)),
 ])
 def test_default_holder_metadata(kernel, expected):
     h, H = kernel.holder_metadata()
@@ -173,7 +175,11 @@ def holder_margin(kernel, grid_points: int = 200) -> float:
     return float((H * dt[mask] ** h - dv[mask]).min())
 
 
-@pytest.mark.parametrize("kernel", _shipped_kernels(), ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("kernel", [
+    *_shipped_kernels(),
+    pytest.param(GammaKernel(T=2.0, rate=0.1, exponent=0.3), id="GammaKernel-rate0.1"),
+    pytest.param(GammaKernel(T=10.0, rate=3.0, exponent=0.3), id="GammaKernel-rate3"),
+], ids=lambda k: type(k).__name__)
 def test_sampled_holder_inequality(kernel):
     # min over 200-grid pairs of H|t-s|^h - |K(t)-K(s)| must be nonnegative
     assert holder_margin(kernel, 200) >= -1e-12

@@ -22,7 +22,7 @@ from voctrl import (
     simulate_paths,
 )
 from voctrl.objective import _trapezoid_weights
-from voctrl.simulate import _kernel_table
+from voctrl.simulate import _kernel_table, _trapezoid_resolvent
 
 from .conftest import CountingControl, CountingKernel, make_problem, trapezoid_operator
 
@@ -287,6 +287,32 @@ def test_sweep_matches_dense_reference(kernel_name, dt, beta):
     m = deterministic_mean(problem, lambda t: np.cos(3.0 * t), grid)
     m_ref = _dense_mean(problem, grid, u)
     assert np.abs(m - m_ref).max() <= 1e-12 * np.abs(m_ref).max()
+
+
+@pytest.mark.parametrize("beta", [1.0, 5.0, 50.0])
+@pytest.mark.parametrize("kernel", [FractionalKernel(T=2.0, exponent=0.3), MonomialKernel(T=2.0, degree=0),
+                                    PolynomialKernel(T=2.0, coeffs=(1.0, 1.0))],
+                         ids=["t^0.3", "K=1", "K=1+t"])
+def test_noise_column_and_oracle_row_match_dense_solve(kernel, beta):
+    # c = (I + beta A)^{-1} K_left, b = last row of (I + beta A)^{-1} A and
+    # y_N = last entry of (I + beta A)^{-1} 1, each from one dense solve.
+    # With alpha = a2 = 1 and a1 = 1/2 the oracle's u* is b / w, and its
+    # optimum moves by y_N per unit of x0; y_N is taken in absolute terms,
+    # as it is about 1e-44 on K = 1 at beta = 50
+    grid = TimeGrid(T=2.0, dt=0.005)
+    problem = make_problem(kernel, beta=beta, a1=0.5)
+    ktab = _kernel_table(problem, grid)
+    A = trapezoid_operator(ktab, grid.dt)
+    S = np.eye(grid.n_steps + 1) + beta * A
+    c_ref = solve_triangular(S, np.concatenate(([0.0], ktab[1:])), lower=True)
+    b_ref = A.T @ solve_triangular(S.T, np.eye(1, grid.n_steps + 1, grid.n_steps)[0], lower=False)
+    y_ref = solve_triangular(S, np.ones(grid.n_steps + 1), lower=True)[-1]
+    _, _, c = _trapezoid_resolvent(problem, grid)
+    b = _trapezoid_weights(grid.n_steps, grid.dt) * lq_oracle(problem, grid).u_values
+    y_N = lq_oracle(dataclasses.replace(problem, x0=1.0), grid).j_opt - lq_oracle(problem, grid).j_opt
+    assert np.abs(c - c_ref).max() <= 5e-14 * np.abs(c_ref).max()
+    assert np.abs(b - b_ref).max() <= 5e-14 * np.abs(b_ref).max()
+    assert abs(y_N - y_ref) <= 1e-14
 
 
 def test_oracle_optimality_sandwich(fractional_kernel, gamma_kernel):

@@ -24,7 +24,7 @@ from voctrl import (
     simulate_paths,
 )
 from voctrl.lift import _resolvent
-from voctrl.simulate import _control_values, _kernel_table, _terminal_states
+from voctrl.simulate import _control_values, _kernel_table, _terminal_states, _trapezoid_resolvent
 
 from .conftest import CountingControl, CountingKernel, make_problem, trapezoid_operator
 
@@ -156,6 +156,22 @@ def test_increment_stream_is_pinned():
     )
 
 
+def test_free_variance_paths_are_pinned():
+    # beta = 0, sigma = 1, zero control on t^0, t^1, t^2 at 800 steps: the
+    # noise convolution's bits, pinned under numpy 2.4.6 and its OpenBLAS
+    import hashlib
+
+    digest = hashlib.sha256()
+    for degree in (0, 1, 2):
+        problem = make_problem(MonomialKernel(T=2.0, degree=degree), beta=0.0)
+        batch = simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.0025), 5000, seed=11 + degree)
+        digest.update(np.ascontiguousarray(batch.paths).tobytes())
+    assert digest.hexdigest() == "ccc14f934fc0db96339cd2a28c40427a04e436fd936e0d84c2ca61a8ab959389", (
+        f"free-variance paths under numpy {np.__version__} differ from the bits pinned under "
+        f"numpy 2.4.6: the increment stream or the BLAS build changed them"
+    )
+
+
 @pytest.mark.parametrize("n_paths, n_steps, dt, named", [
     (3, 0, 0.1, "n_steps"),
     (-1, 5, 0.1, "n_paths"),
@@ -173,6 +189,19 @@ def set_threads(monkeypatch, workers):
         monkeypatch.delenv("VOC_THREADS", raising=False)
     else:
         monkeypatch.setenv("VOC_THREADS", str(workers))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_seed_outside_64_bits_is_rejected(seed, fractional_kernel):
+    # Philox keys one 64-bit word: -1 would draw seed 2**64 - 1's paths and
+    # 2**64 + 1 seed 1's
+    problem, grid = make_problem(fractional_kernel), TimeGrid(T=2.0, dt=0.1)
+    message = rf"seed must be an integer in \[0, 2\*\*64\), got {seed}$"
+    for draw in (lambda: gaussian_increments(seed, 3, 4, 0.1),
+                 lambda: simulate_paths(problem, zero, grid, 3, seed),
+                 lambda: evaluate_J_mc(problem, zero, grid, 3, seed)):
+        with pytest.raises(DomainError, match=message):
+            draw()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, None])
@@ -347,6 +376,18 @@ def test_resolvent_of_constant_kernel_is_geometric():
         r = _resolvent(np.concatenate(([0.5 * ktab[0]], ktab[1:])), h)
         assert np.abs(r - expected).max() <= 1e-13 * np.abs(expected).max()
     assert not np.all(np.isfinite(_resolvent(np.concatenate(([0.0], ktab[1:])), 3.0)))
+
+
+def test_noise_column_is_read_off_the_resolvent():
+    # c = r - (K(0)/2)(e_0 - beta rho): r itself where K(0) == 0 ...
+    grid = TimeGrid(T=2.0, dt=0.005)
+    for beta in [1.0, 5.0]:
+        problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), beta=beta)
+        ktab, rho, c = _trapezoid_resolvent(problem, grid)
+        assert np.array_equal(c, _resolvent(ktab, beta * grid.dt)), beta
+    # ... and (0, K_1, .., K_N) at beta == 0, whatever K(0)
+    ktab, rho, c = _trapezoid_resolvent(make_problem(MonomialKernel(T=2.0, degree=0), beta=0.0), grid)
+    assert np.array_equal(c, np.concatenate(([0.0], ktab[1:])))
 
 
 def resolvent_columns(n):
@@ -555,8 +596,8 @@ def test_state_overflow_names_path_and_step():
 
 
 def test_noise_overflow_names_path_and_step():
-    # the mean stays 0, but c_1 sigma dW_0 is about 1e200 * 3e199: every
-    # path first turns non-finite at step 1
+    # the mean stays 0, but sigma c_1 = 1e200 * 1e200 overflows in the
+    # column: every path first turns non-finite at step 1
     problem = make_problem(PolynomialKernel(T=2.0, coeffs=(1e200,)), beta=0.0, sigma=1e200, x0=0.0)
     with pytest.raises(SimulationError, match=r"on path 0 at step 1 \(t = 0\.1\)"):
         simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.1), 70, seed=1)
