@@ -171,7 +171,10 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
     problem = cfg.problem()
     grid = TimeGrid(T=problem.T, dt=cfg.dt)
     oracle = lq_oracle(problem, grid)
-    h, _ = problem.kernel.holder_metadata()
+    try:
+        h, _ = problem.kernel.holder_metadata()
+    except MetadataError:  # rate_proxy needs h; the other columns do not
+        h = None
     ts = np.linspace(0.0, problem.T, 100)
     exact = monomial_closed_form(problem, ts) if isinstance(problem.kernel, MonomialKernel) else None
     rows = []
@@ -181,7 +184,7 @@ def cmd_convergence(cfg: RunConfig, n_values: list[int]) -> list[Path]:
         gap = oracle.j_opt - j_hat
         # gap against the discretized optimum of the original-kernel problem;
         # a proxy only, since the true supremum is unknown for rough kernels
-        rate_proxy = gap * n ** (h / 2.0) if n > 0 else float("nan")
+        rate_proxy = gap * n ** (h / 2.0) if n > 0 and h is not None else float("nan")
         sup_dist = float("nan") if exact is None else float(np.abs(cp(ts) - exact).max())
         rows.append((n, j_hat, oracle.j_opt, gap, rate_proxy, sup_dist))
     return _write_artifacts(cfg, [

@@ -62,7 +62,7 @@ class Kernel:
         Holder exponent in (0, 1].  When omitted, a family-specific default
         is derived (see ``default_holder_metadata``).
     holder_H : float, optional
-        Holder constant, > 0.
+        Holder constant, > 0.  Given with holder_h or not at all.
 
     Array fields are stored as read-only copies, so a kernel object never
     changes: ``objective.lq_oracle`` keys its kept answer on the problem
@@ -88,6 +88,9 @@ class Kernel:
             raise DomainError(f"holder_h must lie in (0, 1], got {self.holder_h}")
         if self.holder_H is not None and not self.holder_H > 0.0:
             raise DomainError(f"holder_H must be positive, got {self.holder_H}")
+        if (self.holder_h is None) != (self.holder_H is None):
+            missing = "holder_h" if self.holder_h is None else "holder_H"
+            raise DomainError(f"{missing} is missing: give holder_h and holder_H together")
 
     def __call__(self, t):
         """K(t) for a time (returns a float) or an array of times (returns an array).
@@ -111,63 +114,63 @@ class Kernel:
 
     def holder_metadata(self) -> tuple[float, float]:
         """Explicit (holder_h, holder_H) if given, else the family default."""
-        if self.holder_h is not None and self.holder_H is not None:
+        if self.holder_h is not None:
             return self.holder_h, self.holder_H
         return self.default_holder_metadata()
 
 
+class _PowerLawKernel(Kernel):
+    """K(t) = exp(-rate * t) * t**exponent, 0**0 taken as 1: the monomial and
+    fractional kernels (rate 0, so exp(-0 * t) is exactly 1) and the gamma kernel."""
+
+    def _value(self, t):
+        return np.exp(-self.rate * t) * t**self.exponent
+
+    def default_holder_metadata(self):
+        h, rate, T = self.exponent, self.rate, self.T
+        if h == 0:  # the constant t**0
+            return 1.0, 1.0
+        if h < 1:
+            # For s < t, K(s) - K(t) = e^{-rate t} (s**h - t**h) + s**h (e^{-rate s} -
+            # e^{-rate t}).  The first term is at most |t - s|**h; the second at most
+            # T**h min(1, rate (t - s)) <= (rate T)**h (t - s)**h, as min(1, x) <= x**h.
+            return h, 1.0 + (rate * T) ** h
+        # Lipschitz: |K'(t)| = e^{-rate t} |h t**(h-1) - rate t**h| <= h T**(h-1) + rate T**h;
+        # T**h is not formed at rate 0, as it can overflow where T**(h-1) does not.
+        slope = h * T ** (h - 1)
+        return 1.0, slope + rate * T**h if rate else slope
+
+
 @dataclass(frozen=True, kw_only=True)
-class MonomialKernel(Kernel):
+class MonomialKernel(_PowerLawKernel):
     """K(t) = t**degree with integer degree >= 0; 0**0 is taken as 1."""
 
     degree: int
+    rate = 0.0
+    exponent = property(lambda self: self.degree)  # read-only alias of the int degree
 
     def __post_init__(self):
         super().__post_init__()
         if self.degree < 0 or self.degree != int(self.degree):
             raise DomainError(f"degree must be a nonnegative integer, got {self.degree}")
 
-    def _value(self, t):
-        return t**self.degree
-
-    def default_holder_metadata(self):
-        if self.degree == 0:
-            return 1.0, 1.0
-        # Lipschitz constant: sup of the derivative N*t**(N-1) on [0, T].
-        return 1.0, self.degree * self.T ** (self.degree - 1)
-
 
 @dataclass(frozen=True, kw_only=True)
-class FractionalKernel(Kernel):
-    """K(t) = t**exponent.
-
-    For exponent in (0, 1) the kernel is exponent-Holder with constant 1.
-    Larger exponents (e.g. the smooth t**1.1 case) evaluate fine but need
-    explicit metadata: the default derivation only covers (0, 1).
-    """
+class FractionalKernel(_PowerLawKernel):
+    """K(t) = t**exponent, exponent > 0: exponent-Holder with constant 1 below 1,
+    Lipschitz with constant exponent * T**(exponent - 1) from 1 up (e.g. t**1.1)."""
 
     exponent: float
+    rate = 0.0
 
     def __post_init__(self):
         super().__post_init__()
         if not self.exponent > 0.0:
             raise DomainError(f"exponent must be positive, got {self.exponent}")
 
-    def _value(self, t):
-        return t**self.exponent
-
-    def default_holder_metadata(self):
-        if not self.exponent < 1.0:
-            raise MetadataError(
-                "default Holder metadata is only derived for exponents in (0, 1); "
-                f"got {self.exponent}: supply holder_h and holder_H explicitly"
-            )
-        # |t**h - s**h| <= |t - s|**h for h in (0, 1).
-        return self.exponent, 1.0
-
 
 @dataclass(frozen=True, kw_only=True)
-class GammaKernel(Kernel):
+class GammaKernel(_PowerLawKernel):
     """K(t) = exp(-rate * t) * t**exponent, rate > 0, exponent in (0, 1)."""
 
     rate: float
@@ -179,15 +182,6 @@ class GammaKernel(Kernel):
             raise DomainError(f"rate must be positive, got {self.rate}")
         if not 0.0 < self.exponent < 1.0:
             raise DomainError(f"exponent must lie in (0, 1), got {self.exponent}")
-
-    def _value(self, t):
-        return np.exp(-self.rate * t) * t**self.exponent
-
-    def default_holder_metadata(self):
-        # For s < t, K(s) - K(t) = e^{-rate t} (s**h - t**h) + s**h (e^{-rate s} -
-        # e^{-rate t}).  The first term is at most |t - s|**h; the second at most
-        # T**h min(1, rate (t - s)) <= (rate T)**h (t - s)**h, as min(1, x) <= x**h.
-        return self.exponent, 1.0 + (self.rate * self.T) ** self.exponent
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -42,17 +42,17 @@ streams across numpy versions, and ``tests/test_simulate.py`` pins a digest.
 State and noise are stored time-major (steps x paths).  ``simulate_paths``
 writes the increments straight into rows 1..N of the path array, then runs
 fixed ``_BLOCK_PATHS`` column blocks in the calling thread, on BLAS threads.
-Each block writes the noise convolution over its rows of dW bottom-up, in
-row stripes that double in height up to ``_STRIPE`` rows: a stripe is one
-GEMM of a Toeplitz block of sigma c against the rows above it, which no
-stripe run so far has overwritten, into one reused ``_STRIPE`` x
-``_BLOCK_PATHS`` buffer, where m is added and finiteness checked before the
-stripe is copied back.  So beside the paths there is one
-stripe buffer and one Toeplitz block, whatever the step count, and the
-stripes are small enough at CLI sizes to stay on one BLAS thread.
-The path count is padded to a multiple of ``_PAD`` with extra paths of the
-last chunk, dropped afterwards: every real path sees the same BLAS tiling, so
-its values are bit-identical whatever the thread count or ``n_paths``.
+Each block writes the noise convolution over its rows of dW bottom-up, in row
+stripes that double in height up to ``_STRIPE`` rows: a stripe is one GEMM of a
+Toeplitz block of sigma c against the rows above it, which no stripe run so far
+has overwritten, into one reused ``_STRIPE`` x ``_BLOCK_PATHS`` buffer, where m
+is added and finiteness checked before the stripe is copied back.  So beside
+the paths there is one stripe buffer and one Toeplitz block, whatever the step
+count, and the stripes are small enough at CLI sizes to stay on one BLAS
+thread.  The path count is padded to a multiple of ``_PAD`` with extra paths of
+the last chunk, dropped afterwards, so no path's values depend on the thread
+count, nor on ``n_paths`` up to 384 steps: past that, a block of at most 128
+paths may run another BLAS kernel, which differs in the last bits.
 
 A Monte-Carlo objective reads X only at T, and X_N = m_N + sigma sum_j
 c[N-j] dW_j is one weight vector dotted with each path's noise, so
@@ -61,7 +61,7 @@ unless one path needs more) to X(T) in the thread that drew it, one
 fixed-order einsum dot per path and no BLAS call: no path array exists,
 memory is 512 KiB of draws per thread plus O(N + P), and the work is the draw
 plus N multiply-adds per path instead of the stripes' 0.63 * N**2.  X(T) of path p
-matches ``paths[p, -1]`` to rounding and, like it, depends neither on the
+matches ``paths[p, -1]`` to rounding and depends neither on the
 thread count nor on ``n_paths``.
 """
 
@@ -188,9 +188,12 @@ def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float,
 def _resolve_workers() -> int:
     env = os.environ.get("VOC_THREADS", "")
     try:
-        return max(1, int(env)) if env else _usable_cpus()
+        workers = int(env) if env else _usable_cpus()
     except ValueError:
-        raise ConfigError(f"VOC_THREADS must be an integer, got {env!r}") from None
+        workers = 0  # refused below, as a count below 1 is
+    if workers < 1:
+        raise ConfigError(f"VOC_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _usable_cpus() -> int:

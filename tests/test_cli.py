@@ -406,11 +406,13 @@ def test_worker_env_does_not_change_artifacts(tmp_path, monkeypatch):
     assert (out / "paths_controlled.csv").read_bytes() == baseline
 
 
-def test_non_integer_worker_env_is_config_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_non_integer_worker_env_is_config_error(tmp_path, monkeypatch, capsys, value):
+    # a count below one thread is refused, not read as one
     cfg, _ = write_config(tmp_path, n_paths=2, dt=0.1)
-    monkeypatch.setenv("VOC_THREADS", "abc")
+    monkeypatch.setenv("VOC_THREADS", value)
     assert main(["--config", str(cfg), "simulate"]) == 2
-    assert "'abc'" in capsys.readouterr().err
+    assert f"VOC_THREADS must be a positive integer, got '{value}'" in capsys.readouterr().err
 
 
 def test_convergence_single_degree(tmp_path):
@@ -419,6 +421,14 @@ def test_convergence_single_degree(tmp_path):
     rows = (out / "convergence.csv").read_text().splitlines()
     assert len(rows) == 2
     assert rows[0].startswith("n,J_hat,J_oracle_proxy,gap_proxy")
+
+
+def test_convergence_without_holder_data_writes_nan_rate_proxy(tmp_path):
+    # only rate_proxy needs the Holder exponent; the gap columns are written
+    cfg, out = write_config(tmp_path, family="polynomial", params="0, 1, 0.5")
+    assert main(["--config", str(cfg), "convergence", "--n-list", "1,2,5"]) == 0
+    data = np.loadtxt(out / "convergence.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(data[:, :4])) and np.all(np.isnan(data[:, 4]))
 
 
 def test_convergence_monomial_distance_column(tmp_path):
@@ -509,8 +519,10 @@ def test_csv_text_is_pinned(tmp_path):
     # the output directory is the config file itself, or lies under it
     ("control", "/out\n", "/run.ini\n", 2, "run.ini is a file or lies under one"),
     ("control", "/out\n", "/run.ini/sub\n", 2, "run.ini/sub is a file or lies under one"),
+    # half a Holder pair would otherwise be dropped for the family default
+    ("kernel-approx", "params = 0.3", "params = 0.3\nholder_H = 5", 2, "holder_h is missing"),
 ], ids=["T=inf", "T=1e300", "dt=inf", "x0=nan", "alpha=inf", "a1=inf", "seed=-1", "dir=file",
-        "dir=under-file"])
+        "dir=under-file", "holder_H-alone"])
 def test_out_of_range_input_fails_cleanly(tmp_path, capsys, command, setting, value, code,
                                           message):
     # rejected before any artifact is written, with an error line, not a traceback

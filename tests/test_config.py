@@ -25,8 +25,7 @@ SHIPPED = {
     "gamma": dict(family="gamma", params=(1.0, 0.3), output_dir="out/gamma"),
     "monomial_sweep": dict(family="monomial", params=(2.0,), n=10, M=20,
                            output_dir="out/monomial_sweep"),
-    "smooth": dict(family="fractional", params=(1.1,), holder_h=1.0,
-                   holder_H=1.1789508087899225, output_dir="out/smooth"),
+    "smooth": dict(family="fractional", params=(1.1,), output_dir="out/smooth"),
 }
 
 

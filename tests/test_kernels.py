@@ -104,6 +104,9 @@ def test_domain_errors():
     (GammaKernel(T=2.0, rate=1.0, exponent=0.3), (0.3, 1.0 + 2.0**0.3)),
     (GammaKernel(T=2.0, rate=0.1, exponent=0.3), (0.3, 1.0 + 0.2**0.3)),  # 1 + (rate T)**h
     (GammaKernel(T=10.0, rate=3.0, exponent=0.3), (0.3, 1.0 + 30.0**0.3)),
+    (FractionalKernel(T=2.0, exponent=1.1), (1.0, 1.1 * 2.0**0.1)),  # sup of 1.1 t**0.1
+    (FractionalKernel(T=2.0, exponent=2.5), (1.0, 2.5 * 2.0**1.5)),
+    (MonomialKernel(T=1e10, degree=31), (1.0, 31 * 1e10**30)),  # T**31 would overflow
 ])
 def test_default_holder_metadata(kernel, expected):
     h, H = kernel.holder_metadata()
@@ -116,8 +119,15 @@ def test_metadata_required_errors():
         PolynomialKernel(T=2.0, coeffs=(0.0, 1.0)).holder_metadata()
     with pytest.raises(MetadataError):
         TabulatedKernel(T=2.0, times=(0.0, 2.0), values=(0.0, 1.0)).holder_metadata()
-    with pytest.raises(MetadataError):
-        FractionalKernel(T=2.0, exponent=1.1).holder_metadata()
+
+
+def test_rate_zero_values_are_plain_powers():
+    # the family's one formula exp(-rate t) t**h: exp(-0 t) is exactly 1
+    t = np.concatenate([[0.0, 5e-324, 1e-300], TimeGrid(T=2.0, dt=0.005).nodes])
+    for h in (0.1, 0.3, 0.5, 0.99, 1.1, 2.5):
+        assert np.array_equal(FractionalKernel(T=2.0, exponent=h)(t), t**h)
+    for N in (0, 1, 2, 3, 5, 7):
+        assert np.array_equal(MonomialKernel(T=2.0, degree=N)(t), t**N)
 
 
 def test_explicit_metadata_wins():
@@ -134,6 +144,11 @@ def test_invalid_parameters():
         GammaKernel(T=2.0, rate=0.0, exponent=0.3)
     with pytest.raises(DomainError):
         MonomialKernel(T=2.0, degree=2, holder_h=1.5)
+    # half a Holder pair is refused, not dropped for the family default
+    with pytest.raises(DomainError, match="holder_H is missing"):
+        FractionalKernel(T=2.0, exponent=0.3, holder_h=0.2)
+    with pytest.raises(DomainError, match="holder_h is missing"):
+        FractionalKernel(T=2.0, exponent=0.3, holder_H=5.0)
 
 
 @pytest.mark.parametrize("make", [
@@ -151,7 +166,8 @@ def test_non_finite_parameters_are_rejected(make):
 def _shipped_kernels():
     return [
         FractionalKernel(T=2.0, exponent=0.3),
-        FractionalKernel(T=2.0, exponent=1.1, holder_h=1.0, holder_H=1.1 * 2.0**0.1),
+        FractionalKernel(T=2.0, exponent=1.1),
+        FractionalKernel(T=2.0, exponent=2.5),
         GammaKernel(T=2.0, rate=1.0, exponent=0.3),
         MonomialKernel(T=2.0, degree=1),
         MonomialKernel(T=2.0, degree=2),
