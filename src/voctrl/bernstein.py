@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericRangeError
-from .kernels import Kernel, PolynomialKernel
+from .kernels import Kernel, PolynomialKernel, _horner
 
 #: largest approximation degree with trustworthy double-precision coefficients;
 #: k! * kappa[k] magnitudes degrade quickly beyond this.
@@ -55,14 +55,14 @@ class BernsteinKernel(PolynomialKernel):
 
     Attributes
     ----------
-    n : int
-        Approximation degree.
     node_values : numpy.ndarray
         K(T k / max(n, 1)) for k = 0..n; basis-form evaluation runs on these.
+    n : int
+        Approximation degree, read off the nodes: len(node_values) - 1.
     """
 
-    n: int
     node_values: np.ndarray
+    n = property(lambda self: len(self.node_values) - 1)  # read-only, so it cannot disagree
 
     # the class's own attribute, so perfbench's tracer times K_n apart from other kernels
     __call__ = Kernel.__call__
@@ -74,8 +74,8 @@ class BernsteinKernel(PolynomialKernel):
 
             K_n = f_0 + (1 - x)**n * sum_k C(n, k) (f_k - f_0) s**k,   s = x/(1 - x),
 
-        and for x > 1/2 the mirror image about f_n, with s = (1 - x)/x.  So
-        s <= 1 on both halves, a node costs n Horner steps, constants come
+        and for x > 1/2 the mirror image about f_n, with s = (1 - x)/x, each
+        sum by ``kernels._horner``.  So s <= 1 on both halves, constants come
         out exactly, and K_n(0) = f_0, K_n(T) = f_n bit for bit.  The error is
         at most a small multiple of n * eps * (sum_k |f_k| B_k(x) + |f_e|), f_e
         the half's endpoint value (Farouki & Rajan, CAGD 4, 1987).  The node
@@ -94,14 +94,7 @@ class BernsteinKernel(PolynomialKernel):
         for half, near, far, f_e, w in ((low, y, x, f[0], binom * (f - f[0])),
                                         (~low, x, y, f[n], (binom * (f - f[n]))[::-1])):
             a = near[half]
-            s = far[half] / a
-            acc = np.full_like(s, w[n])
-            for k in range(n - 1, -1, -1):
-                acc *= s
-                acc += w[k]
-            acc *= a**n
-            acc += f_e
-            out[half] = acc
+            out[half] = _horner(w, far[half] / a) * a**n + f_e
         out *= math.ldexp(1.0, e)
         return out
 
@@ -122,7 +115,8 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
     if n > N_CAP:
         raise NumericRangeError(f"degree {n} exceeds numerically stable cap {N_CAP}")
     T = source.T
-    vals = source(T * np.arange(n + 1) / max(n, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing node is rejected below
+        vals = source(T * np.arange(n + 1) / max(n, 1))
     try:
         diffs = _forward_differences(vals)
         kappa = np.array([math.comb(n, k) * diffs[k] / T**k for k in range(n + 1)])
@@ -130,7 +124,7 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
         raise NumericRangeError(f"Bernstein coefficients of degree {n} out of range: {exc}") from None
     if not np.all(np.isfinite(kappa)):
         raise NumericRangeError("non-finite Bernstein coefficients")
-    return BernsteinKernel(T=T, coeffs=kappa, n=n, node_values=vals)
+    return BernsteinKernel(T=T, coeffs=kappa, node_values=vals)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ trapezoidal column a = (K_0/2, K_1, .., K_N).  So
 with K_left = a - a[0] e_0 and * the convolution cut to N + 1 entries.  As
 r + beta dt a * r = a, c = r - a[0] (e_0 - beta rho), which is r where K_0
 is 0.  ``_trapezoid_resolvent`` (``lift._resolvent`` of a, afresh on every
-call) gives (kernel table, rho, c) to the mean, the paths and the oracle.
+call) gives (kernel table, rho, c) only to ``_mean``, which returns (m, c),
+and to ``objective.lq_oracle``.
 
 Noise comes in fixed chunks of ``_BLOCK_PATHS`` paths, each with its own
 stream: Philox keyed by the seed, with the chunk index in the top word of the
@@ -221,9 +222,10 @@ def _kernel_table(problem: ControlProblem, grid: TimeGrid) -> np.ndarray:
     if abs(grid.T - problem.T) > 4 * math.ulp(problem.T):  # TimeGrid's rounding rule
         raise DomainError("grid horizon does not match the problem horizon")
     # tabulate once; the inner loops only ever need K on the grid offsets
-    ktab = problem.kernel(grid.nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite table is rejected below
+        ktab = problem.kernel(grid.nodes)
     if not np.all(np.isfinite(ktab)):
-        raise SimulationError("kernel produced non-finite values on the grid")
+        raise NumericRangeError("kernel produced non-finite values on the grid")
     return ktab
 
 
@@ -277,8 +279,7 @@ def simulate_paths(problem: ControlProblem, control, grid: TimeGrid, n_paths: in
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     n_steps, dt = grid.n_steps, grid.dt
-    ktab, rho, c = _trapezoid_resolvent(problem, grid)
-    m = _mean(problem, _control_values(control, grid.nodes), grid, ktab, rho)
+    m, c = _mean(problem, _control_values(control, grid.nodes), grid)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is rejected below
         cc = np.concatenate((problem.sigma * c[:0:-1], np.zeros(n_steps)))
     n_padded = -(-n_paths // _PAD) * _PAD
@@ -312,8 +313,7 @@ def _terminal_states(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, n_p
     nodes: z the path's normals as ``simulate_paths`` draws them and ws =
     sigma sqrt(dt) (c_N, .., c_1) (see the module docstring)."""
     n_steps, dt = grid.n_steps, grid.dt
-    ktab, rho, c = _trapezoid_resolvent(problem, grid)
-    m = _mean(problem, u, grid, ktab, rho)
+    m, c = _mean(problem, u, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X(T) is rejected below
         ws = c[:0:-1] * (problem.sigma * math.sqrt(dt))
     xT = np.empty(n_paths)
@@ -344,16 +344,16 @@ def _trapezoid_resolvent(problem: ControlProblem, grid: TimeGrid):
     return ktab, rho, c
 
 
-def _mean(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, ktab: np.ndarray,
-          rho: np.ndarray) -> np.ndarray:
-    """The scheme's mean m for the control ``u`` on the nodes, off
-    ``_trapezoid_resolvent``'s (ktab, rho).
+def _mean(problem: ControlProblem, u: np.ndarray, grid: TimeGrid):
+    """(m, c): the scheme's mean m for the control ``u`` on the nodes and the
+    noise column c, off one ``_trapezoid_resolvent`` call.
 
     With v = alpha u and s_i = x0 + dt K_i (v_0 - beta x0) / 2 the t_0 term,
     m_0 = x0 and m_i = s_i + sum_{j=1}^{i} rho[i-j] (v_j - beta s_j).  A
     non-finite m_i raises ``NumericRangeError`` naming the first such step.
     """
     beta, dt, x0, n_steps = problem.beta, grid.dt, problem.x0, grid.n_steps
+    ktab, rho, c = _trapezoid_resolvent(problem, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite mean is rejected below
         v = problem.alpha * u
         s = x0 + 0.5 * dt * ktab[1:] * (v[0] - beta * x0)
@@ -363,10 +363,9 @@ def _mean(problem: ControlProblem, u: np.ndarray, grid: TimeGrid, ktab: np.ndarr
         i = int(np.argmax(bad))
         raise NumericRangeError(f"mean equation produced a non-finite state at step {i} "
                                 f"(t = {i * dt:.6g})")
-    return m
+    return m, c
 
 
 def deterministic_mean(problem: ControlProblem, control, grid: TimeGrid) -> np.ndarray:
     """Mean goodwill on the grid, the scheme's m (see ``_mean``)."""
-    ktab, rho, _ = _trapezoid_resolvent(problem, grid)
-    return _mean(problem, _control_values(control, grid.nodes), grid, ktab, rho)
+    return _mean(problem, _control_values(control, grid.nodes), grid)[0]

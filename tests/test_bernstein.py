@@ -41,6 +41,15 @@ def test_bernstein_kernel_is_a_polynomial_kernel():
     assert vars(BernsteinKernel)["__call__"] is Kernel.__call__
 
 
+def test_degree_is_read_off_the_nodes():
+    source = FractionalKernel(T=2.0, exponent=0.3)
+    for n in (0, 1, 20):
+        assert bernstein_kernel(source, n).n == n
+    bk = bernstein_kernel(source, 2)
+    with pytest.raises(TypeError):  # no second copy that could disagree with the nodes
+        BernsteinKernel(T=2.0, coeffs=bk.coeffs, n=2, node_values=bk.node_values)
+
+
 def test_degree_zero_is_the_constant_at_zero():
     source = PolynomialKernel(T=2.0, coeffs=(3.0, -1.0))
     bk = bernstein_kernel(source, 0)

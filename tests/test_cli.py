@@ -595,6 +595,34 @@ def test_control_overflow_writes_no_artifact(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric-range error:")
 
 
+@pytest.mark.parametrize("cmd", [["kernel-approx"], ["control"], ["simulate"], ["oracle"],
+                                 ["convergence", "--n-list", "2,5"]], ids=lambda cmd: cmd[0])
+def test_overflowing_kernel_is_numeric_range_error(tmp_path, capsys, cmd):
+    # t**40 overflows on the nodes past t = 5e7: exit 3 from every command,
+    # with one error line, no numpy warning and no file written
+    import warnings
+
+    cfg, out = write_config(tmp_path, family="monomial", params="40", dt=1e9)
+    cfg.write_text(cfg.read_text().replace("T = 2.0", "T = 1e10").replace("beta = 1.0", "beta = 0.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(cfg), *cmd]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric-range error:") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+def test_cancelling_mittag_leffler_reference_writes_nothing(tmp_path, capsys):
+    # the t**0 reference at beta = 25, T = 2 needs E_{1,1}(-50), which the
+    # series would give as -1.4e7 (so u_exact(0) = -7e6) where it is 1.9e-22
+    cfg, out = write_config(tmp_path, family="monomial", params="0", n=5, M=50)
+    cfg.write_text(cfg.read_text().replace("beta = 1.0", "beta = 25.0"))
+    assert main(["--config", str(cfg), "control"]) == 3
+    assert "cancels beyond double precision" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_builds_the_bernstein_kernel_once(tmp_path, bernstein_calls):
     # the K_n problem is built once and serves the control, the oracle and J
     argv = ["--config", str(CONFIGS / "gamma.ini"), "--output-dir", str(tmp_path), "oracle"]

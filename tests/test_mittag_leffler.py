@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ def test_frozen_reference_values():
     # 50-digit series summation oracle (mpmath)
     assert mittag_leffler(-2.0, 3.0, 3.0) == pytest.approx(0.48343233944911458824, abs=1e-13)
     assert mittag_leffler(-16.0, 3.0, 3.0) == pytest.approx(0.37291400838556873324, abs=1e-13)
+
+
+@pytest.mark.parametrize("z, a", [(-20.0, 1.0), (-50.0, 1.0), (-50.0, 1.3)])
+def test_cancelling_series_raises(z, a):
+    # the alternating sum's rounding error, about 2**-53 * sum |term|, passes
+    # the value: E_{1,1}(-50) would come out as -1.4e7 where e**-50 is 1.9e-22
+    with pytest.raises(NumericRangeError, match=re.escape(f"z = {z!r}, a = {a!r}, b = {a!r}")):
+        mittag_leffler(z, a, a)
+
+
+def test_moderate_negative_argument_is_accurate():
+    assert mittag_leffler(-10.0, 1.0, 1.0) == pytest.approx(math.exp(-10.0), abs=1e-11)
 
 
 def test_tolerance_refinement_is_stable():

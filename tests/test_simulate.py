@@ -656,12 +656,22 @@ def test_non_finite_kernel_table_raises_every_time_and_is_not_kept(resolvent_cal
     grid = TimeGrid(T=2.0, dt=0.1)
     bad = make_problem(NanKernel(T=2.0))
     for _ in range(2):
-        with pytest.raises(SimulationError, match="kernel produced non-finite values"):
+        with pytest.raises(NumericRangeError, match="kernel produced non-finite values"):
             deterministic_mean(bad, one, grid)
     good = make_problem(FractionalKernel(T=2.0, exponent=0.3))
     m = deterministic_mean(good, one, grid)
     assert resolvent_calls == [21]
     assert np.array_equal(m, deterministic_mean(good, one, grid))
+
+
+@pytest.mark.parametrize("consumer", ["paths", "terminal states", "mean"])
+def test_each_consumer_solves_the_resolvent_once(fractional_kernel, resolvent_calls, consumer):
+    # the mean and the noise column come off one _trapezoid_resolvent call
+    problem, grid = make_problem(fractional_kernel), TimeGrid(T=2.0, dt=0.1)
+    {"paths": lambda: simulate_paths(problem, one, grid, 3, seed=1),
+     "terminal states": lambda: _terminal_states(problem, np.ones(21), grid, 3, seed=1),
+     "mean": lambda: deterministic_mean(problem, one, grid)}[consumer]()
+    assert resolvent_calls == [21]
 
 
 def test_scheme_core_keeps_no_state(fractional_kernel):
