@@ -36,7 +36,7 @@ def _forward_differences(values):
     are integers: the difference table is kept exact in Python ints and each
     Delta^k is rounded to a double once (int / int rounds correctly), so the
     alternating cancellation adds no rounding error to the kernel samples as
-    given.  An infinite sample raises ``OverflowError``.
+    given.  Every sample must be finite.
     """
     ratios = [float(v).as_integer_ratio() for v in values]
     den = max((d for _, d in ratios), default=1)
@@ -108,7 +108,8 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
 
     the forward-difference form of the alternating binomial sum; the two are
     algebraically identical, but the differences are exact and rounded once.
-    At n = 0 the one node is t = 0, so K_0 is the constant K(0).
+    At n = 0 the one node is t = 0, so K_0 is the constant K(0).  A node
+    value that is not finite raises ``NumericRangeError`` naming the node.
     """
     if n < 0:
         raise NumericRangeError(f"degree must be nonnegative, got {n}")
@@ -116,11 +117,17 @@ def bernstein_kernel(source: Kernel, n: int) -> BernsteinKernel:
         raise NumericRangeError(f"degree {n} exceeds numerically stable cap {N_CAP}")
     T = source.T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing node is rejected below
-        vals = source(T * np.arange(n + 1) / max(n, 1))
+        nodes = T * np.arange(n + 1) / max(n, 1)
+        vals = source(nodes)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericRangeError(f"Bernstein coefficients of degree {n} out of range: kernel value "
+                                f"{vals[k]} at node {k} (t = {nodes[k]:.6g})")
     try:
         diffs = _forward_differences(vals)
         kappa = np.array([math.comb(n, k) * diffs[k] / T**k for k in range(n + 1)])
-    except ArithmeticError as exc:  # an infinite node value, or T**k out of range
+    except ArithmeticError as exc:  # T**k out of range
         raise NumericRangeError(f"Bernstein coefficients of degree {n} out of range: {exc}") from None
     if not np.all(np.isfinite(kappa)):
         raise NumericRangeError("non-finite Bernstein coefficients")

@@ -27,16 +27,22 @@ call) gives (kernel table, rho, c) only to ``_mean``, which returns (m, c),
 and to ``objective.lq_oracle``.
 
 Noise comes in fixed chunks of ``_BLOCK_PATHS`` paths, each with its own
-stream: Philox keyed by the seed, with the chunk index in the top word of the
-256-bit counter, so chunk c starts c * 2**192 blocks into the seed's counter
-space and no two chunks can overlap.  A chunk draws its paths in order,
-n_steps standard normals each (numpy's ziggurat, which takes a variable number
-of words per value, so a path needs the ones before it in its chunk): path p
-is a pure function of (seed, p // _BLOCK_PATHS, p mod _BLOCK_PATHS), whatever
-the thread count or n_paths.  ``_chunk_draws`` is that stream, and
-``_on_chunks`` runs one function per chunk on ``VOC_THREADS`` threads (the
-draws release the GIL), by default as many as the usable CPUs, for the two
-consumers, ``gaussian_increments`` and ``_terminal_states``.  Re-runs under
+stream: chunk c of seed s draws from ``PCG64DXSM(s).jumped(c)`` (O'Neill,
+HMC-CS-2014-0905, numpy's DXSM output), the seed's stream advanced by c * J
+words, J = 210306068529402873165736369884012333109, about (phi - 1) * 2**128.
+Chunk starts are the points c * J mod 2**128 of one period, and by the
+three-distance theorem (gaps of the continued fraction of J / 2**128) any two
+of fewer than 2**32 of them are more than 2**95 words apart (2**107 for
+2**20 chunks), so no chunk reaches another's words.  A chunk draws its paths
+in order, n_steps standard normals each (numpy's ziggurat, which takes a
+variable number of words per value, so a path needs the ones before it in
+its chunk): path p is a pure function of (seed, p // _BLOCK_PATHS, p mod
+_BLOCK_PATHS), whatever the thread count or n_paths.  ``_chunk_draws`` is
+that stream, and ``_on_chunks`` runs one function per chunk on
+``VOC_THREADS`` threads (the draws release the GIL), by default as many as
+the usable CPUs, for the two consumers, ``gaussian_increments`` and
+``_terminal_states``.  Chunks are small enough to keep the threads even:
+20 000 paths are 10 chunks, 5 per thread on two.  Re-runs under
 one numpy build are byte-identical; NEP 19 does not promise ``Generator``
 streams across numpy versions, and ``tests/test_simulate.py`` pins a digest.
 
@@ -52,8 +58,11 @@ the paths there is one stripe buffer and one Toeplitz block, whatever the step
 count, and the stripes are small enough at CLI sizes to stay on one BLAS
 thread.  The path count is padded to a multiple of ``_PAD`` with extra paths of
 the last chunk, dropped afterwards, so no path's values depend on the thread
-count, nor on ``n_paths`` up to 384 steps: past that, a block of at most 128
-paths may run another BLAS kernel, which differs in the last bits.
+count or on ``n_paths``.  The second rests on OpenBLAS's kernel choice as
+measured, not on a promise: under 64-path padding a block of at most 128
+paths took another GEMM kernel from 385 steps on, one that differs in the
+last bits, and with ``_PAD`` = 256 no block is that narrow (checked at 400,
+500 and 1000 steps).
 
 A Monte-Carlo objective reads X only at T, and X_N = m_N + sigma sum_j
 c[N-j] dW_j is one weight vector dotted with each path's noise, so
@@ -82,8 +91,8 @@ from .lift import _resolvent
 #: name of the simulation kernel, reported in benchmark run records.
 DEFAULT_BACKEND = "numpy"
 
-_PAD = 64  # path-count multiple: no real path falls in a BLAS edge tile
-_BLOCK_PATHS = 4096  # paths per noise chunk and per recursion block, whatever the threads
+_PAD = 256  # path-count multiple: no GEMM block is narrower, so no path count changes a bit
+_BLOCK_PATHS = 2048  # paths per noise chunk and per recursion block, whatever the threads
 _DRAW_FLOATS = 1 << 16  # most normals per draw unless one path needs more: 512 KiB per thread
 _LEAF_STEPS = 16  # rows of the first stripe; each later stripe doubles the rows done
 _STRIPE = 128  # most rows per stripe: the stripe buffer is _STRIPE * _BLOCK_PATHS floats
@@ -132,13 +141,17 @@ def _chunk_draws(seed: int, first_path: int, n_paths: int, n_steps: int):
     path-major into one reused buffer, as many whole paths at a time as fit
     in ``_DRAW_FLOATS`` normals, at least one (splitting a fill does not
     change the stream); each draw is yielded as (offset in the chunk, (k,
-    n_steps) view of the buffer), valid until the next one.  A seed outside
-    [0, 2**64), which Philox would alias to another, raises ``DomainError``.
+    n_steps) view of the buffer), valid until the next one.  The stream is
+    ``PCG64DXSM(seed).jumped(chunk)``: seeded through SeedSequence, which
+    hashes every word of the seed, so two seeds never share a stream except
+    by a hash collision.  SeedSequence would take any integer past 2**64 too
+    and refuse a negative one with a bare ``ValueError``; a seed outside [0,
+    2**64), the documented domain, raises ``DomainError``.
     """
     if not 0 <= operator.index(seed) < 2**64:  # a float seed raises TypeError
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
     chunk = first_path // _BLOCK_PATHS
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk]))
+    gen = np.random.Generator(np.random.PCG64DXSM(seed).jumped(chunk))
     per_draw = max(1, _DRAW_FLOATS // n_steps)
     buf = np.empty((min(per_draw, n_paths), n_steps))
     for a in range(0, n_paths, per_draw):
@@ -160,12 +173,13 @@ def gaussian_increments(seed: int, n_paths: int, n_steps: int, dt: float,
     """Increment matrix dW ~ Normal(0, dt), shape (n_paths, n_steps).
 
     Path p is draw p mod ``_BLOCK_PATHS`` of chunk p // ``_BLOCK_PATHS``'s
-    stream, as described in the module docstring: n_steps standard normals
-    (numpy's ziggurat) times sqrt(dt).  The result is stored step-major: it
-    is the transpose of a C-contiguous (n_steps, n_paths) array, or of ``out``
-    when given (a float64 array of that shape, rows may be strided), which is
-    filled in place.  The chunks are drawn on ``VOC_THREADS`` threads, else as
-    many as the usable CPUs; the values never depend on the count.
+    stream, ``PCG64DXSM(seed).jumped(p // _BLOCK_PATHS)`` (see the module
+    docstring): n_steps standard normals (numpy's ziggurat) times sqrt(dt).
+    The result is stored step-major: it is the transpose of a C-contiguous
+    (n_steps, n_paths) array, or of ``out`` when given (a float64 array of
+    that shape, rows may be strided), which is filled in place.  The chunks
+    are drawn on ``VOC_THREADS`` threads, else as many as the usable CPUs;
+    the values never depend on the count.
     """
     for name, value in (("n_paths", n_paths), ("n_steps", n_steps), ("dt", dt)):
         if not 0 < value < math.inf:

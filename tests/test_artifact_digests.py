@@ -26,9 +26,9 @@ DIGESTS = {
     "fractional/kernel_approx_summary.json": "a02c76225eebb9d81904735c26e460e95d829f25edb87e92656a3c5f2b79c2dd",
     "fractional/oracle.csv": "9df2ec1be47e991938b8704154fc1e94d66511030d777db2c23093043837c412",
     "fractional/oracle_summary.json": "5dd21768339e182c5d28b3fced44ad7aa569c5a7f48aa3199998a759a3c12792",
-    "fractional/paths_controlled.csv": "b94538fe31dea1b8ee0899a7ed8252d8f48e68e33fa83c4654f1f4c95be44496",
-    "fractional/paths_uncontrolled.csv": "2a2bc2d5e6a50bfe1d48c22a1a98acede72aa6a43458d49e4f4209d85500432f",
-    "fractional/simulate_summary.json": "da00341f4b1da9e1a287b05b5c12cae664ab13ddfe830aecdb3f39978923eee2",
+    "fractional/paths_controlled.csv": "6e26be8bc2c8992401b30fc3a4cdcc368a3ad5b1aa56cf91da0ef8d888b13685",
+    "fractional/paths_uncontrolled.csv": "a30dacb9019603efce49e537b2145b93975ef198a1f1955e820c8821cc4626b5",
+    "fractional/simulate_summary.json": "471bc4dfae61f992a979af1a08a8f39f9db820467d9d9c123db3a733620813a9",
     "gamma/control.csv": "ad70755e0228a47fa559fbcce9f26960a67fb935fb13e18a75e7d31b0ff48d21",
     "gamma/control.json": "f98474abd1f53e1cb867d1dc0b903f94689e8d9306921fbc43ea1b5e74a0f253",
     "gamma/convergence.csv": "3d915d921233f2336e83004fd2b7a739207451c805b83f3b185b6226453a77e3",
@@ -36,9 +36,9 @@ DIGESTS = {
     "gamma/kernel_approx_summary.json": "71fb721acd0686f4375cb56f61c76b340ea8ed0daf21e8e17c25c016fffb06b5",
     "gamma/oracle.csv": "61da06d2b9fe197ba7305125522dc7239e5f15c5247bce5d52ea019b8aeb5d1d",
     "gamma/oracle_summary.json": "e0fed1522e6792d044fc390992157ad4d7241214ca1c57437707efe7a278f9d7",
-    "gamma/paths_controlled.csv": "902b2803e86df03c7410e12fd03dcccbe7198f18db2e3768dd9af2aa98b527a5",
-    "gamma/paths_uncontrolled.csv": "ddb901349168f9cd44a12cdbaafcc92853bd7fadd9c446a7910c8e8060aaaf59",
-    "gamma/simulate_summary.json": "3e7954c216b0221e9248617fcbd8797df9bc62715c340fcf1a8ab9baf92cc05e",
+    "gamma/paths_controlled.csv": "df521acc9d254cae8928a25cd319e648dc85f588e483ca0240ad3b3abdcb3483",
+    "gamma/paths_uncontrolled.csv": "fc7f257ef47f283a2e9e28ea9d93a8b0d000340b7019ed7ff210c9dac5d562e0",
+    "gamma/simulate_summary.json": "7764857cb92491f69f101623c5514b4096c436ab558b368a8d11051b6da630c1",
     "monomial_sweep/control_n1.csv": "38c7c768d8dc3bae1f17d691aba1a4e22abe9be73fe1a574172cb51ad20fae9f",
     "monomial_sweep/control_n1.json": "c0ef56e21892cea4e176a1374cd1bd128eacc9a1fa8af12ea517fd797069b42b",
     "monomial_sweep/control_n10.csv": "4764d94a7f725f05ddba7f7eb3022d7db36888be7e71bc623ab70029d93ed454",
@@ -53,9 +53,9 @@ DIGESTS = {
     "monomial_sweep/kernel_approx_summary.json": "156d7b5ded2ccfb0168f116384187a48b3de9060977f155c1967c1cd4a1797ef",
     "monomial_sweep/oracle.csv": "42e3cd010b73684629668242688f00133635e35825f247f1d55d45970781feb4",
     "monomial_sweep/oracle_summary.json": "4b9a0e6292976ad3178301ff04fa8582d092785f6591686410efd603acfd22ba",
-    "monomial_sweep/paths_controlled.csv": "90eff6e2cb02dde19fa723b2fc20de033a81e44db6f917a93571dd3cee07d064",
-    "monomial_sweep/paths_uncontrolled.csv": "dda6b00c0847933c1cf8b95264f2b68f1550295e8ab4bdf144ff2c327ce48e89",
-    "monomial_sweep/simulate_summary.json": "b72c64ff9ca985c9ce6fa7978ceb40c94b1d9211daabf49438cdccc4577e523e",
+    "monomial_sweep/paths_controlled.csv": "fb7685575cc56e2bf2693f6cd132c84bf9b12fc72b10ece40ff1ca9c2856f9bf",
+    "monomial_sweep/paths_uncontrolled.csv": "222604e963728f4b5b44c8ce1cb9eaca4a7ced04a4f2233e2c214e5f22cd23cd",
+    "monomial_sweep/simulate_summary.json": "f13ce44e41b9b74455ce50f3040f1a33b337482d1d6f2327c5e157b56995a8d1",
     "smooth/control.csv": "f6df3a0378726662784b75bb382e43b8ee19db36d393d9045012f9a8558ba13d",
     "smooth/control.json": "f0bae280a35346864156396966dbd4c7da54082b81731659363c84709ce5fa3a",
     "smooth/convergence.csv": "9de4c583402ab0e0ab02e197cf6ad064201e6b0bc28acfd09d1fb8484bacc02b",
@@ -63,9 +63,9 @@ DIGESTS = {
     "smooth/kernel_approx_summary.json": "b4a1b88ba25cf8ce3eeb62dc0af1b33da3171656935c029969a8dcf3aaa66e2a",
     "smooth/oracle.csv": "8401daec514a10ba2349e2039ec1eaaf24955c352232406d23f8c7344951c062",
     "smooth/oracle_summary.json": "41096fa9bd51d80a081a2a8be1f61ea46b38f96680cfe2dee35932d2a7153ec7",
-    "smooth/paths_controlled.csv": "141b23be810dcba7a20201f8b8965fb2ef6cd9591cc642a241983e9516259daf",
-    "smooth/paths_uncontrolled.csv": "622ca9ce0b420f7fced619dd359db05227764a80452c68bf9ffbc61b7a0cf41b",
-    "smooth/simulate_summary.json": "3a7c50e8db60fe1d14181511eac9ec87d30e4cdbf0a3b302ddeb712bc598a069",
+    "smooth/paths_controlled.csv": "65cc64746d98ad1f39b2779971649072acaf77365b62029f6db86a2fa7833976",
+    "smooth/paths_uncontrolled.csv": "f55ce5cf67cf6de8d4c9f0df11645b9dca03e8bc8f2a580f17f74e4bdfaaacb6",
+    "smooth/simulate_summary.json": "e701925623e91e063d7024610ce54f08f16295859ef8c51da928cc18acd90b5c",
 }
 
 

@@ -67,9 +67,22 @@ def test_horizon_out_of_range_is_a_range_error(T):
 def test_infinite_node_value_is_a_range_error():
     # K(T) = 2e308 overflows to inf: the exact difference table cannot hold it
     source = PolynomialKernel(T=2.0, coeffs=(0.0, 1e308))
-    with np.errstate(over="ignore"), pytest.raises(
-            NumericRangeError, match="degree 3 out of range: cannot convert Infinity to integer ratio"):
+    message = r"degree 3 out of range: kernel value inf at node 3 \(t = 2\)$"
+    with np.errstate(over="ignore"), pytest.raises(NumericRangeError, match=message):
         bernstein_kernel(source, 3)
+
+
+class NanAtTwoThirds(Kernel):
+    """t, but NaN at t = 2T/3: node 2 of degree 3."""
+
+    def _value(self, t):
+        return np.where(np.isclose(t, 2.0 * self.T / 3.0), np.nan, t)
+
+
+def test_nan_node_value_is_a_range_error():
+    message = r"degree 3 out of range: kernel value nan at node 2 \(t = 1\.33333\)$"
+    with pytest.raises(NumericRangeError, match=message):
+        bernstein_kernel(NanAtTwoThirds(T=2.0), 3)
 
 
 def test_coefficients_and_node_values_are_read_only(fractional_kernel):

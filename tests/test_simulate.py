@@ -24,7 +24,13 @@ from voctrl import (
     simulate_paths,
 )
 from voctrl.lift import _resolvent
-from voctrl.simulate import _control_values, _kernel_table, _terminal_states, _trapezoid_resolvent
+from voctrl.simulate import (
+    _BLOCK_PATHS,
+    _control_values,
+    _kernel_table,
+    _terminal_states,
+    _trapezoid_resolvent,
+)
 
 from .conftest import CountingControl, CountingKernel, make_problem, trapezoid_operator
 
@@ -113,44 +119,47 @@ def test_terminal_variance_matches_ito_isometry(degree):
 def chunk_reference(seed, chunk, n_paths, n_steps, dt):
     """The first n_paths increment rows of one noise chunk, from one draw of
     a fresh stream of that chunk alone."""
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk]))
+    gen = np.random.Generator(np.random.PCG64DXSM(seed).jumped(chunk))
     return gen.standard_normal((n_paths, n_steps)) * np.sqrt(dt)
 
 
 def test_increment_layout_is_counter_addressable():
-    # path 4096 + 3 must be reproducible from (seed, chunk 1, position 3) alone
+    # path _BLOCK_PATHS + 3 must be reproducible from (seed, chunk 1, position 3) alone
     seed, n_steps, dt = 987, 10, 0.1
-    dw = gaussian_increments(seed, 4096 + 6, n_steps, dt)
-    assert np.array_equal(dw[4096 + 3], chunk_reference(seed, 1, 4, n_steps, dt)[3])
+    dw = gaussian_increments(seed, _BLOCK_PATHS + 6, n_steps, dt)
+    assert np.array_equal(dw[_BLOCK_PATHS + 3], chunk_reference(seed, 1, 4, n_steps, dt)[3])
 
 
 @pytest.fixture(scope="module")
 def three_chunk_reference():
-    # 2 * 4096 + 5 paths: two full noise chunks and a short third one
-    seed, n_paths, n_steps, dt = 4242, 2 * 4096 + 5, 7, 0.25
-    ref = np.concatenate([chunk_reference(seed, c, min(4096, n_paths - 4096 * c), n_steps, dt)
+    # 2 * _BLOCK_PATHS + 5 paths: two full noise chunks and a short third one
+    B = _BLOCK_PATHS
+    seed, n_paths, n_steps, dt = 4242, 2 * B + 5, 7, 0.25
+    ref = np.concatenate([chunk_reference(seed, c, min(B, n_paths - B * c), n_steps, dt)
                           for c in range(3)])
     return seed, n_paths, n_steps, dt, ref
 
 
 def test_increment_chunks_are_disjoint(three_chunk_reference):
-    # each chunk's counter range is its own: chunk 1 shares no value with its
-    # neighbours, as it would if the chunk index were a shift of one stream
+    # each chunk's stretch of the stream is its own: chunk 1 shares no value
+    # with its neighbours, as it would if the chunk index were a short shift
+    B = _BLOCK_PATHS
     seed, n_paths, n_steps, dt, _ = three_chunk_reference
     dw = gaussian_increments(seed, n_paths, n_steps, dt)
-    chunks = dw[:4096], dw[4096:8192], dw[8192:]
+    chunks = dw[:B], dw[B : 2 * B], dw[2 * B :]
     assert np.intersect1d(chunks[1], chunks[0]).size == 0
     assert np.intersect1d(chunks[1], chunks[2]).size == 0
 
 
 def test_increment_stream_is_pinned():
     # NEP 19 does not promise Generator streams across numpy versions; a
-    # change of the ziggurat or of Philox moves every Monte-Carlo number
+    # change of the ziggurat, of PCG64DXSM or of its jump moves every
+    # Monte-Carlo number
     import hashlib
 
-    dw = gaussian_increments(2021, 4096 + 4, 3, 0.5)
+    dw = gaussian_increments(2021, _BLOCK_PATHS + 4, 3, 0.5)
     digest = hashlib.sha256(np.ascontiguousarray(dw).tobytes()).hexdigest()
-    assert digest == "c666b17bfcc49f9e19742bd8af6e377149dfc8ded6aff921f84750891f276362", (
+    assert digest == "6192252bbda37210f615537973dbd0e388e158ba5c9743309b5cdc17d5d8ae5c", (
         f"gaussian_increments under numpy {np.__version__} differs from the stream "
         f"pinned under numpy 2.4.6: every Monte-Carlo number and simulate CSV moves with it"
     )
@@ -166,7 +175,7 @@ def test_free_variance_paths_are_pinned():
         problem = make_problem(MonomialKernel(T=2.0, degree=degree), beta=0.0)
         batch = simulate_paths(problem, zero, TimeGrid(T=2.0, dt=0.0025), 5000, seed=11 + degree)
         digest.update(np.ascontiguousarray(batch.paths).tobytes())
-    assert digest.hexdigest() == "ccc14f934fc0db96339cd2a28c40427a04e436fd936e0d84c2ca61a8ab959389", (
+    assert digest.hexdigest() == "38f225b538b949c652b6ddb12913d34735bfd5fe5e206599e31b718586dc1e28", (
         f"free-variance paths under numpy {np.__version__} differ from the bits pinned under "
         f"numpy 2.4.6: the increment stream or the BLAS build changed them"
     )
@@ -193,8 +202,8 @@ def set_threads(monkeypatch, workers):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
 def test_seed_outside_64_bits_is_rejected(seed, fractional_kernel):
-    # Philox keys one 64-bit word: -1 would draw seed 2**64 - 1's paths and
-    # 2**64 + 1 seed 1's
+    # SeedSequence would hash 2**64 and past without aliasing, and refuse -1
+    # with a bare ValueError: the check keeps one documented seed domain
     problem, grid = make_problem(fractional_kernel), TimeGrid(T=2.0, dt=0.1)
     message = rf"seed must be an integer in \[0, 2\*\*64\), got {seed}$"
     for draw in (lambda: gaussian_increments(seed, 3, 4, 0.1),
@@ -450,7 +459,7 @@ def test_reruns_are_bit_identical(fractional_kernel):
 
 @pytest.mark.parametrize("workers", [2, 3, 5])
 def test_worker_count_does_not_change_results(workers, fractional_kernel, monkeypatch):
-    # 9000 paths make three path blocks, so every worker count fans out
+    # 9000 paths make five path blocks, so every worker count fans out
     problem = make_problem(fractional_kernel)
     cp = optimal_control_poly(problem, 10, 30)
     grid = TimeGrid(T=2.0, dt=0.05)
@@ -461,20 +470,27 @@ def test_worker_count_does_not_change_results(workers, fractional_kernel, monkey
     assert np.array_equal(serial.paths, fanned.paths)
 
 
-@pytest.fixture(scope="module", params=[0.0, 1.0], ids=["beta=0", "beta=1"])
+@pytest.fixture(scope="module", params=["beta=0", "beta=1", "400steps"])
 def long_run(request):
-    problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), beta=request.param)
-    cp = optimal_control_poly(problem, 10, 30)
-    grid = TimeGrid(T=2.0, dt=0.05)
-    return problem, cp, grid, simulate_paths(problem, cp, grid, 8200, seed=13).paths
+    # 40 steps under the degree-10 control, and 400 steps under cos, where
+    # a GEMM block narrower than _PAD paths took another OpenBLAS kernel
+    if request.param == "400steps":
+        problem = make_problem(FractionalKernel(T=2.0, exponent=0.3), x0=0.1)
+        control, grid, seed = np.cos, TimeGrid(T=2.0, dt=0.005), 3
+    else:
+        problem = make_problem(FractionalKernel(T=2.0, exponent=0.3),
+                               beta=0.0 if request.param == "beta=0" else 1.0)
+        control, grid, seed = optimal_control_poly(problem, 10, 30), TimeGrid(T=2.0, dt=0.05), 13
+    return problem, control, grid, seed, simulate_paths(problem, control, grid, 8200, seed).paths
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n_paths", [1, 17, 64, 65, 4097])
+@pytest.mark.parametrize("n_paths", [1, 17, 64, 65, 4097,
+                                     7, 13, 100, 128, 255, 257, 1000, 2047, 2049, 4095])
 def test_paths_do_not_depend_on_path_count(n_paths, workers, long_run, monkeypatch):
-    problem, cp, grid, long = long_run
+    problem, control, grid, seed, long = long_run
     set_threads(monkeypatch, workers)
-    short = simulate_paths(problem, cp, grid, n_paths, seed=13).paths
+    short = simulate_paths(problem, control, grid, n_paths, seed).paths
     assert np.array_equal(short, long[:n_paths])
 
 
@@ -506,7 +522,7 @@ def long_terminal_run():
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("n_paths", [1, 2, 513, 4097, 8193])
 def test_terminal_states_do_not_depend_on_path_count(n_paths, workers, long_terminal_run, monkeypatch):
-    # 513 ends inside a draw and 4097 crosses two draws and a chunk; 8193 is
+    # 513 ends inside a draw and 4097 crosses draws and two chunks; 8193 is
     # the long run itself, so it is a rerun on another thread count
     problem, ctl, grid, long = long_terminal_run
     set_threads(monkeypatch, workers)
@@ -579,6 +595,21 @@ def test_monte_carlo_mean_matches_deterministic(gamma_kernel):
     xT = batch.paths[:, -1]
     se = xT.std(ddof=1) / np.sqrt(len(xT))
     assert abs(xT.mean() - m[-1]) <= 3.0 * se
+
+
+def test_monte_carlo_z_scores_are_standard(fractional_kernel):
+    # z = (J_mc - J_det) / SE over 200 seeds of four chunks each: chunks that
+    # repeat or correlate leave the SE as it is and widen z (about 2.2 when
+    # every chunk draws chunk 0's stream); sound chunks give sd 1 +- 0.05
+    problem = make_problem(fractional_kernel)
+    cp = optimal_control_poly(problem, 10, 30)
+    grid = TimeGrid(T=2.0, dt=0.08)
+    j_det = evaluate_J_deterministic(problem, cp, grid).j_estimate
+    z = []
+    for seed in range(200):
+        mc = evaluate_J_mc(problem, cp, grid, 4 * _BLOCK_PATHS, seed)
+        z.append((mc.j_estimate - j_det) / mc.std_error)
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
 
 
 def test_non_finite_control_rejected(fractional_kernel):
